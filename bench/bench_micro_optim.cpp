@@ -23,7 +23,7 @@ namespace {
 using namespace evc;
 
 /// Tag an MPC-path record with the QP engine it actually exercised, so
-/// A/B runs under EVC_MPC_BACKEND=... stay distinguishable in stored
+/// runs from builds with different defaults stay distinguishable in stored
 /// benchmark JSON.
 void set_backend_label(benchmark::State& state, opt::QpBackend backend) {
   state.SetLabel(std::string("backend=") + opt::to_string(backend));

@@ -124,9 +124,10 @@ void write_json(const std::string& path, const drive::DriveProfile& profile,
   json.begin_object();
   json.key("bench").value("robustness_faults");
   // The QP engine and SIMD ISA this run actually exercised, so stored
-  // artifacts under EVC_MPC_BACKEND/EVC_SIMD A/B stay distinguishable.
+  // artifacts from different builds or EVC_SIMD targets stay
+  // distinguishable.
   json.key("backend").value(
-      opt::to_string(opt::qp_backend_from_env(opt::QpBackend::kSparse)));
+      opt::to_string(core::MpcOptions{}.sqp.backend));
   json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.key("cycle").value(profile.name());
   json.key("ambient_c").value(bench::kDefaultAmbientC);

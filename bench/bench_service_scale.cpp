@@ -14,7 +14,8 @@
 //
 // The artifact also records the active QP backend and SIMD ISA plus the
 // service counters (admit/reject/shed/evict/restore, svc.step_ns
-// p50/p99), so stored runs under EVC_MPC_BACKEND/EVC_SIMD A/B cleanly.
+// p50/p99), so stored runs from different builds or EVC_SIMD targets
+// A/B cleanly.
 //
 // Flags: --vehicles N  resident sessions (default 100000)
 //        --waves N     steady-state full-population sweeps (default 2)
@@ -200,7 +201,7 @@ int main(int argc, char** argv) {
   json.key("schema").value("evclimate-solver-bench-v1");
   json.key("bench").value("service_scale");
   json.key("backend").value(
-      opt::to_string(opt::qp_backend_from_env(opt::QpBackend::kSparse)));
+      opt::to_string(core::MpcOptions{}.sqp.backend));
   json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.key("vehicles").value(vehicles);
   json.key("resident_sessions").value(stats.in_memory);

@@ -511,7 +511,7 @@ void write_json(const std::string& path, const ChaosOutcome& chaos,
   json.begin_object();
   json.key("bench").value("service_soak");
   json.key("backend").value(
-      opt::to_string(opt::qp_backend_from_env(opt::QpBackend::kSparse)));
+      opt::to_string(core::MpcOptions{}.sqp.backend));
   json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.key("chaos");
   json.begin_object();

@@ -213,9 +213,10 @@ int main(int argc, char** argv) {
     std::cerr << "  mpc_plan_step_warm done\n";
   }
 
-  // Same warm receding-horizon scenario through the condensed backend — the
-  // same-session A/B against mpc_plan_step_warm above. Overrides any
-  // EVC_MPC_BACKEND setting so both rows are always present.
+  // Same warm receding-horizon scenario with the condensed backend pinned.
+  // It is the default, so this row matches mpc_plan_step_warm above; it
+  // stays gated so the fast path is measured even if the default moves,
+  // and the run fails outright if the condensed path stops engaging.
   {
     core::MpcOptions opts;
     opts.sqp.backend = opt::QpBackend::kCondensed;

@@ -284,10 +284,10 @@ hvac::HvacInputs MpcClimateController::decide(
     input.air_flow_kg_s = result.x[idx.mz(0)];
     // Saturate to the actuator box (C1/C5/C6/C7) before commanding the
     // plant. The interior point returns strictly interior iterates and
-    // passes through bit-unchanged; the condensed backend solves the
-    // *cached* linearization (reused while within drift_tolerance), so a
-    // boundary-active input can overshoot the true bound by ~drift·|x| —
-    // an epsilon that must not leak into actuation.
+    // passes through bit-unchanged; the condensed active set counts a bound
+    // as met within its feasibility tolerance, so a boundary-active input
+    // can overshoot by that much — an epsilon that must not leak into
+    // actuation.
     input.supply_temp_c =
         std::min(input.supply_temp_c, hvac_.max_supply_temp_c);
     input.coil_temp_c = std::max(input.coil_temp_c, hvac_.min_coil_temp_c);
@@ -406,11 +406,6 @@ void MpcClimateController::save_state(BinaryWriter& writer) const {
   writer.write_size(stats_.rejected_plans);
   save_qp_counters(writer, solver_.qp_counters());
   writer.write_size(stats_.solver_workspace_bytes);
-
-  // Condensed-backend cache (prediction matrices): restoring it keeps the
-  // resumed run's rebuild counters identical to an uninterrupted one.
-  writer.section("mpc_backend");
-  solver_.save_backend_state(writer);
 }
 
 void MpcClimateController::load_state(BinaryReader& reader) {
@@ -452,9 +447,6 @@ void MpcClimateController::load_state(BinaryReader& reader) {
   stats_.solver = load_qp_counters(reader);
   solver_.restore_qp_counters(stats_.solver);
   stats_.solver_workspace_bytes = reader.read_size();
-
-  reader.expect_section("mpc_backend");
-  solver_.load_backend_state(reader);
 }
 
 void MpcClimateController::fill_flight_record(

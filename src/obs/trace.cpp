@@ -97,14 +97,15 @@ void Tracer::set_sim_time(double time_s) {
 
 void Tracer::record(TraceEventKind kind, const char* name,
                     std::uint64_t start_ns, std::uint64_t dur_ns,
-                    const char* arg_name, double value,
+                    const TraceArg* args, std::size_t num_args, double value,
                     std::uint64_t trace_id, std::uint64_t span_id,
                     std::uint64_t parent_span_id) {
   ThreadRing& ring = local_ring();
   const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
   TraceEvent& e = ring.events[head % kRingCapacity];
   e.name = name;
-  e.arg_name = arg_name;
+  for (std::size_t i = 0; i < kMaxTraceArgs; ++i)
+    e.args[i] = i < num_args ? args[i] : TraceArg{};
   e.start_ns = start_ns;
   e.dur_ns = dur_ns;
   e.value = value;
@@ -122,31 +123,33 @@ void Tracer::record_span(const char* name, std::uint64_t start_ns,
   if (!enabled()) return;
   const TraceContext& ctx = ambient_trace_context();
   const std::uint64_t span_id = ctx.active() ? next_span_id() : 0;
-  record(TraceEventKind::kSpan, name, start_ns, dur_ns, arg_name, arg_value,
-         ctx.trace_id, span_id, ctx.parent_span_id);
+  const TraceArg arg{arg_name, arg_value};
+  record(TraceEventKind::kSpan, name, start_ns, dur_ns, &arg,
+         arg_name != nullptr ? 1 : 0, 0.0, ctx.trace_id, span_id,
+         ctx.parent_span_id);
 }
 
 void Tracer::record_span(const char* name, std::uint64_t start_ns,
-                         std::uint64_t dur_ns, const char* arg_name,
-                         double arg_value, std::uint64_t trace_id,
+                         std::uint64_t dur_ns, const TraceArg* args,
+                         std::size_t num_args, std::uint64_t trace_id,
                          std::uint64_t span_id,
                          std::uint64_t parent_span_id) {
   if (!enabled()) return;
-  record(TraceEventKind::kSpan, name, start_ns, dur_ns, arg_name, arg_value,
+  record(TraceEventKind::kSpan, name, start_ns, dur_ns, args, num_args, 0.0,
          trace_id, span_id, parent_span_id);
 }
 
 void Tracer::instant(const char* name, double value) {
   if (!enabled()) return;
   const TraceContext& ctx = ambient_trace_context();
-  record(TraceEventKind::kInstant, name, now_ns(), 0, nullptr, value,
+  record(TraceEventKind::kInstant, name, now_ns(), 0, nullptr, 0, value,
          ctx.trace_id, 0, ctx.parent_span_id);
 }
 
 void Tracer::counter(const char* name, double value) {
   if (!enabled()) return;
-  record(TraceEventKind::kCounter, name, now_ns(), 0, nullptr, value, 0, 0,
-         0);
+  record(TraceEventKind::kCounter, name, now_ns(), 0, nullptr, 0, value, 0,
+         0, 0);
 }
 
 TraceStats Tracer::stats() const {
@@ -221,12 +224,13 @@ void Tracer::write_chrome_json(std::ostream& out) const {
       json.key("tid").value(ring->tid);
       json.key("args");
       json.begin_object();
-      if (e.kind == TraceEventKind::kCounter) {
+      if (e.kind == TraceEventKind::kCounter ||
+          (e.kind == TraceEventKind::kInstant && e.value != 0.0)) {
         json.key("value").value(e.value);
-      } else if (e.arg_name != nullptr) {
-        json.key(e.arg_name).value(e.value);
-      } else if (e.kind == TraceEventKind::kInstant && e.value != 0.0) {
-        json.key("value").value(e.value);
+      }
+      for (const TraceArg& a : e.args) {
+        if (a.name == nullptr) break;
+        json.key(a.name).value(a.value);
       }
       if (std::isfinite(e.sim_time_s))
         json.key("sim_time_s").value(e.sim_time_s);
@@ -278,8 +282,9 @@ TraceSpan::~TraceSpan() {
   }
   Tracer& tracer = Tracer::global();
   if (!tracer.enabled()) return;  // disabled mid-span: drop it
-  tracer.record_span(name_, start_ns_, tracer.now_ns() - start_ns_, arg_name_,
-                     arg_value_, trace_id_, span_id_, parent_span_id_);
+  tracer.record_span(name_, start_ns_, tracer.now_ns() - start_ns_,
+                     args_.data(), num_args_, trace_id_, span_id_,
+                     parent_span_id_);
 }
 
 TraceEnvGuard::TraceEnvGuard() {

@@ -22,9 +22,11 @@
 // themselves are only ever written by their owning thread.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <string>
 
@@ -32,12 +34,22 @@ namespace evc::obs {
 
 enum class TraceEventKind : std::uint8_t { kSpan, kInstant, kCounter };
 
+/// One named numeric span argument.
+struct TraceArg {
+  const char* name = nullptr;  ///< static-lifetime string
+  double value = 0.0;
+};
+
+/// Most named arguments one span carries.
+inline constexpr std::size_t kMaxTraceArgs = 4;
+
 struct TraceEvent {
   const char* name = nullptr;      ///< static-lifetime string
-  const char* arg_name = nullptr;  ///< optional numeric argument label
   std::uint64_t start_ns = 0;      ///< since Tracer epoch
   std::uint64_t dur_ns = 0;        ///< 0 for instants/counters
-  double value = 0.0;              ///< argument or counter value
+  double value = 0.0;              ///< instant or counter value
+  /// Span arguments in attach order; the first null name ends the list.
+  std::array<TraceArg, kMaxTraceArgs> args{};
   double sim_time_s = 0.0;         ///< NaN when the thread never set it
   // Causal links (obs::TraceContext); all zero outside a request context.
   std::uint64_t trace_id = 0;        ///< request this event belongs to
@@ -77,11 +89,12 @@ class Tracer {
   void record_span(const char* name, std::uint64_t start_ns,
                    std::uint64_t dur_ns, const char* arg_name = nullptr,
                    double arg_value = 0.0);
-  /// Span with explicit causal ids (used by TraceSpan, which allocates its
-  /// id at construction so children observed the right parent).
+  /// Span with explicit causal ids and up to kMaxTraceArgs arguments (used
+  /// by TraceSpan, which allocates its id at construction so children
+  /// observed the right parent).
   void record_span(const char* name, std::uint64_t start_ns,
-                   std::uint64_t dur_ns, const char* arg_name,
-                   double arg_value, std::uint64_t trace_id,
+                   std::uint64_t dur_ns, const TraceArg* args,
+                   std::size_t num_args, std::uint64_t trace_id,
                    std::uint64_t span_id, std::uint64_t parent_span_id);
   void instant(const char* name, double value = 0.0);
   void counter(const char* name, double value);
@@ -100,9 +113,9 @@ class Tracer {
   struct ThreadRing;
   ThreadRing& local_ring();
   void record(TraceEventKind kind, const char* name, std::uint64_t start_ns,
-              std::uint64_t dur_ns, const char* arg_name, double value,
-              std::uint64_t trace_id, std::uint64_t span_id,
-              std::uint64_t parent_span_id);
+              std::uint64_t dur_ns, const TraceArg* args,
+              std::size_t num_args, double value, std::uint64_t trace_id,
+              std::uint64_t span_id, std::uint64_t parent_span_id);
 
   std::atomic<bool> enabled_{false};
   std::uint64_t epoch_ns_ = 0;  // steady_clock at construction
@@ -122,11 +135,17 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan();
 
-  /// Attach one numeric argument (last call wins), e.g.
-  /// span.arg("iterations", 12).
+  /// Attach a named numeric argument, e.g. span.arg("iterations", 12).
+  /// Attaching a name again overwrites its value. The first kMaxTraceArgs
+  /// names are kept, in attach order; further names are dropped.
   void arg(const char* name, double value) {
-    arg_name_ = name;
-    arg_value_ = value;
+    if (name_ == nullptr) return;
+    for (std::size_t i = 0; i < num_args_; ++i)
+      if (std::strcmp(args_[i].name, name) == 0) {
+        args_[i].value = value;
+        return;
+      }
+    if (num_args_ < kMaxTraceArgs) args_[num_args_++] = TraceArg{name, value};
   }
 
   /// This span's causal id (0 when disabled or outside a request context).
@@ -134,8 +153,8 @@ class TraceSpan {
 
  private:
   const char* name_ = nullptr;  ///< nullptr ⇒ tracer was disabled
-  const char* arg_name_ = nullptr;
-  double arg_value_ = 0.0;
+  std::array<TraceArg, kMaxTraceArgs> args_{};  ///< first num_args_ are set
+  std::size_t num_args_ = 0;
   std::uint64_t start_ns_ = 0;
   std::uint64_t trace_id_ = 0;
   std::uint64_t span_id_ = 0;

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "numerics/kernels.hpp"
 #include "obs/trace.hpp"
-#include "util/expect.hpp"
-#include "util/serialize.hpp"
 
 namespace evc::opt {
 
@@ -22,33 +18,10 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-/// Relative ∞-norm distance between two equally-sized matrices.
-double relative_drift(const num::Matrix& a, const num::Matrix& b) {
-  const double* pa = a.ptr();
-  const double* pb = b.ptr();
-  const std::size_t n = a.rows() * a.cols();
-  double diff = 0.0, scale = 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    diff = std::max(diff, std::abs(pa[i] - pb[i]));
-    scale = std::max(scale, std::abs(pb[i]));
-  }
-  return diff / scale;
-}
-
-void write_matrix(BinaryWriter& writer, const num::Matrix& m) {
-  writer.write_size(m.rows());
-  writer.write_size(m.cols());
-  writer.write_f64_seq(m.ptr(), m.rows() * m.cols());
-}
-
-void read_matrix(BinaryReader& reader, num::Matrix& m) {
-  const std::size_t rows = reader.read_size();
-  const std::size_t cols = reader.read_size();
-  const std::vector<double> data = reader.read_f64_vec();
-  if (data.size() != rows * cols)
-    throw SerializationError("condensed cache matrix size mismatch");
-  m.resize(rows, cols);
-  std::copy(data.begin(), data.end(), m.ptr());
+bool plan_matches(const QpProblem& qp, const CondensingPlan& plan) {
+  return plan.num_vars == qp.num_vars() && plan.num_eq() == qp.num_eq() &&
+         plan.num_free() == qp.num_vars() - qp.num_eq() &&
+         plan.num_free() > 0;
 }
 
 }  // namespace
@@ -59,31 +32,8 @@ const char* to_string(QpBackend backend) {
       return "sparse";
     case QpBackend::kCondensed:
       return "condensed";
-    case QpBackend::kAuto:
-      return "auto";
   }
   return "unknown";
-}
-
-std::optional<QpBackend> parse_qp_backend(std::string_view text) {
-  if (text == "sparse" || text == "ipm") return QpBackend::kSparse;
-  if (text == "condensed" || text == "dense") return QpBackend::kCondensed;
-  if (text == "auto") return QpBackend::kAuto;
-  return std::nullopt;
-}
-
-QpBackend qp_backend_from_env(QpBackend fallback) {
-  const char* env = std::getenv("EVC_MPC_BACKEND");
-  if (env == nullptr || *env == '\0') return fallback;
-  const auto parsed = parse_qp_backend(env);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr,
-                 "evclimate: EVC_MPC_BACKEND=%s not recognized "
-                 "(sparse|condensed|auto); using %s\n",
-                 env, to_string(fallback));
-    return fallback;
-  }
-  return *parsed;
 }
 
 bool CondensingPlan::finalize() {
@@ -107,54 +57,23 @@ bool CondensingPlan::finalize() {
   return true;
 }
 
-bool CondensedQpSolver::plan_matches(const QpProblem& qp,
-                                     const CondensingPlan& plan) const {
-  return plan.num_vars == qp.num_vars() && plan.num_eq() == qp.num_eq() &&
-         plan.num_free() == qp.num_vars() - qp.num_eq() &&
-         plan.num_free() > 0;
-}
-
-bool CondensedQpSolver::drift_within(const QpProblem& qp,
-                                     const CondensedQpOptions& options) const {
-  if (cached_e_.rows() != qp.e_mat.rows() ||
-      cached_e_.cols() != qp.e_mat.cols() ||
-      cached_h_.rows() != qp.h.rows() || cached_a_.rows() != qp.a_mat.rows())
-    return false;
-  if (relative_drift(qp.e_mat, cached_e_) > options.drift_tolerance)
-    return false;
-  // The Hessian diagonal moves when the SQP layer regularizes-and-retries;
-  // catch that even under the constant-Hessian contract.
-  const std::size_t n = qp.h.rows();
-  double diff = 0.0, scale = 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    diff = std::max(diff, std::abs(qp.h(i, i) - cached_h_(i, i)));
-    scale = std::max(scale, std::abs(cached_h_(i, i)));
-  }
-  if (diff / scale > options.drift_tolerance) return false;
-  if (!options.assume_constant_hessian) {
-    if (relative_drift(qp.h, cached_h_) > options.drift_tolerance)
-      return false;
-    if (qp.a_mat.rows() > 0 &&
-        relative_drift(qp.a_mat, cached_a_) > options.drift_tolerance)
-      return false;
-  }
-  return true;
-}
-
-bool CondensedQpSolver::derive(const CondensingPlan& plan, double min_pivot) {
+bool CondensedQpSolver::condense(const QpProblem& qp,
+                                 const CondensingPlan& plan,
+                                 double min_pivot) {
   const std::size_t n = plan.num_vars;
   const std::size_t me = plan.num_eq();
   const std::size_t nf = plan.num_free();
+  const num::Matrix& e = qp.e_mat;
 
   // Structural check against the actual matrix: in elimination order, row i
   // must not touch a variable eliminated later, and its pivot must be solid.
   pivots_.assign(me, 0.0);
   for (std::size_t i = 0; i < me; ++i) {
-    const double pivot = cached_e_(plan.dep_rows[i], plan.dep_cols[i]);
+    const double pivot = e(plan.dep_rows[i], plan.dep_cols[i]);
     if (std::abs(pivot) < min_pivot) return false;
     pivots_[i] = pivot;
     for (std::size_t j = i + 1; j < me; ++j)
-      if (cached_e_(plan.dep_rows[i], plan.dep_cols[j]) != 0.0) return false;
+      if (e(plan.dep_rows[i], plan.dep_cols[j]) != 0.0) return false;
   }
 
   // Null-space basis Z by forward substitution: free rows are unit vectors,
@@ -166,34 +85,41 @@ bool CondensedQpSolver::derive(const CondensingPlan& plan, double min_pivot) {
   for (std::size_t i = 0; i < me; ++i) {
     const std::size_t row = plan.dep_rows[i];
     const std::size_t col = plan.dep_cols[i];
-    const double* e_row = cached_e_.row_ptr(row);
+    const double* e_row = e.row_ptr(row);
     double* z_col = z_.row_ptr(col);
     for (std::size_t j = 0; j < n; ++j) {
       if (j == col || e_row[j] == 0.0) continue;
       num::axpy_span(-e_row[j] / pivots_[i], z_.row_ptr(j), z_col, nf);
     }
   }
-
-  // H·Z and A·Z with explicit zero-skipping: both matrices are sparse
-  // (bounds and short couplings), and rebuilds sit on the re-linearization
-  // path where this is the dominant cost.
-  hz_.resize(n, nf);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* h_row = cached_h_.row_ptr(i);
-    double* out = hz_.row_ptr(i);
-    for (std::size_t k = 0; k < n; ++k)
-      if (h_row[k] != 0.0) num::axpy_span(h_row[k], z_.row_ptr(k), out, nf);
+  z_nz_ptr_.assign(n + 1, 0);
+  z_nz_col_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    z_nz_ptr_[k] = z_nz_col_.size();
+    const double* z_row = z_.row_ptr(k);
+    for (std::size_t t = 0; t < nf; ++t)
+      if (z_row[t] != 0.0) z_nz_col_.push_back(t);
   }
-  a_r_.resize(cached_a_.rows(), nf);
-  for (std::size_t i = 0; i < cached_a_.rows(); ++i) {
-    const double* a_row = cached_a_.row_ptr(i);
-    double* out = a_r_.row_ptr(i);
-    for (std::size_t k = 0; k < n; ++k)
-      if (a_row[k] != 0.0) num::axpy_span(a_row[k], z_.row_ptr(k), out, nf);
-  }
+  z_nz_ptr_[n] = z_nz_col_.size();
 
-  zt_ = z_.transposed();
-  num::gemm(1.0, zt_, hz_, 0.0, h_r_);
+  // H·Z and A·Z over the nonzeros of both factors. Each output entry still
+  // sums its products in ascending k, the order of the dense kernels, and a
+  // skipped product is an exact zero — so the sums are the dense bits.
+  times_z(qp.h, hz_);
+  times_z(qp.a_mat, a_r_);
+
+  // ZᵀHZ the same way: row i of the dense product Zᵀ·(H·Z) adds
+  // Z(k, i)·(H·Z)(k, :) for k ascending, so walking k over Z's nonzeros
+  // reproduces it with about one ninth of the row updates.
+  h_r_.resize(nf, nf);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double* z_row = z_.row_ptr(k);
+    const double* hz_row = hz_.row_ptr(k);
+    for (std::size_t t = z_nz_ptr_[k]; t < z_nz_ptr_[k + 1]; ++t) {
+      const std::size_t i = z_nz_col_[t];
+      num::axpy_span(z_row[i], hz_row, h_r_.row_ptr(i), nf);
+    }
+  }
   h_r_.symmetrize();
   if (!chol_hr_.factorize(h_r_)) return false;
 
@@ -206,7 +132,7 @@ bool CondensedQpSolver::derive(const CondensingPlan& plan, double min_pivot) {
   for (std::size_t i = 0; i < me; ++i) {
     col_ptr_[i] = col_j_.size();
     for (std::size_t j = i + 1; j < me; ++j) {
-      const double val = cached_e_(plan.dep_rows[j], plan.dep_cols[i]);
+      const double val = e(plan.dep_rows[j], plan.dep_cols[i]);
       if (val != 0.0) {
         col_j_.push_back(j);
         col_val_.push_back(val);
@@ -215,6 +141,22 @@ bool CondensedQpSolver::derive(const CondensingPlan& plan, double min_pivot) {
   }
   col_ptr_[me] = col_j_.size();
   return true;
+}
+
+void CondensedQpSolver::times_z(const num::Matrix& m, num::Matrix& out) const {
+  const std::size_t n = z_.rows();
+  out.resize(m.rows(), z_.cols());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const double* m_row = m.row_ptr(i);
+    double* out_row = out.row_ptr(i);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double mik = m_row[k];
+      if (mik == 0.0) continue;
+      const double* z_row = z_.row_ptr(k);
+      for (std::size_t t = z_nz_ptr_[k]; t < z_nz_ptr_[k + 1]; ++t)
+        out_row[z_nz_col_[t]] += mik * z_row[z_nz_col_[t]];
+    }
+  }
 }
 
 QpResult CondensedQpSolver::solve(const QpProblem& qp,
@@ -231,31 +173,13 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   const std::size_t nf = plan.num_free();
   const std::size_t mi = qp.num_ineq();
 
-  // A checkpoint-restored cache carries only the linearization snapshots;
-  // re-derive the prediction matrices from them silently (bit-identical to
-  // what the pre-checkpoint run computed, so no counters move).
-  if (state_ == CacheState::kNeedsDerive) {
-    state_ = derive(plan, options.min_pivot) ? CacheState::kReady
-                                             : CacheState::kEmpty;
-  }
-
-  bool rebuilt = false;
-  if (state_ != CacheState::kReady || !drift_within(qp, options)) {
+  {
     EVC_TRACE_SPAN("qp.condense");
-    const auto rebuild_start = std::chrono::steady_clock::now();
-    num::copy_into(qp.e_mat, cached_e_);
-    num::copy_into(qp.h, cached_h_);
-    num::copy_into(qp.a_mat, cached_a_);
-    if (!derive(plan, options.min_pivot)) {
-      state_ = CacheState::kEmpty;
-      return result;
-    }
-    state_ = CacheState::kReady;
-    rebuilt = true;
-    ++counters.condense_rebuilds;
-    ++counters.factorizations;
-    counters.factorize_time_ns += elapsed_ns(rebuild_start);
+    if (!condense(qp, plan, options.min_pivot)) return result;
   }
+  ++counters.condense_rebuilds;
+  ++counters.factorizations;
+  counters.factorize_time_ns += elapsed_ns(start);
 
   // Particular solution E·d_p = e with free variables pinned to zero, by
   // the same forward substitution that built Z.
@@ -263,19 +187,23 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   for (std::size_t i = 0; i < me; ++i) {
     const std::size_t row = plan.dep_rows[i];
     const double acc =
-        qp.e_vec[row] - num::dot_span(cached_e_.row_ptr(row), d_p_.ptr(), n);
+        qp.e_vec[row] - num::dot_span(qp.e_mat.row_ptr(row), d_p_.ptr(), n);
     d_p_[plan.dep_cols[i]] = acc / pivots_[i];
   }
 
   // Reduced gradient g_r = Zᵀ(H·d_p + g) and rhs b_r = b − A·d_p.
   rhs_full_.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) rhs_full_[j] = qp.g[j];
-  num::gemv_span(1.0, cached_h_.ptr(), n, n, n, d_p_.ptr(), rhs_full_.ptr());
+  num::gemv_span(1.0, qp.h.ptr(), n, n, n, d_p_.ptr(), rhs_full_.ptr());
   g_r_.assign(nf, 0.0);
-  num::gemv_t_span(1.0, z_.ptr(), nf, n, nf, rhs_full_.ptr(), g_r_.ptr());
+  for (std::size_t k = 0; k < n; ++k) {
+    const double* z_row = z_.row_ptr(k);
+    for (std::size_t t = z_nz_ptr_[k]; t < z_nz_ptr_[k + 1]; ++t)
+      g_r_[z_nz_col_[t]] += rhs_full_[k] * z_row[z_nz_col_[t]];
+  }
   b_r_.assign(mi, 0.0);
   for (std::size_t i = 0; i < mi; ++i) b_r_[i] = qp.b_vec[i];
-  num::gemv_span(-1.0, cached_a_.ptr(), n, mi, n, d_p_.ptr(), b_r_.ptr());
+  num::gemv_span(-1.0, qp.a_mat.ptr(), n, mi, n, d_p_.ptr(), b_r_.ptr());
 
   // Warm working set: the support of the previous solve's inequality
   // multipliers. Derived fresh from the caller's seed every time — the
@@ -314,12 +242,12 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   // the dependent columns in reverse elimination order (Eᵀ restricted to
   // those columns is upper triangular in that order).
   hx_.assign(n, 0.0);
-  num::gemv_span(1.0, cached_h_.ptr(), n, n, n, result.x.ptr(), hx_.ptr());
+  num::gemv_span(1.0, qp.h.ptr(), n, n, n, result.x.ptr(), hx_.ptr());
   result.objective = 0.5 * num::dot_span(result.x.ptr(), hx_.ptr(), n) +
                      num::dot_span(qp.g.ptr(), result.x.ptr(), n);
   y_eq_rhs_.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) y_eq_rhs_[j] = hx_[j] + qp.g[j];
-  num::gemv_t_span(1.0, cached_a_.ptr(), n, mi, n, lam_.ptr(),
+  num::gemv_t_span(1.0, qp.a_mat.ptr(), n, mi, n, lam_.ptr(),
                    y_eq_rhs_.ptr());
   result.y_eq.assign(me, 0.0);
   for (std::size_t i = me; i-- > 0;) {
@@ -335,10 +263,7 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
 
   ++counters.solves;
   ++counters.condensed_solves;
-  // A cache hit reuses the cached Cholesky factor: that is the warm path,
-  // and it must not also count as a factorization (nor a rebuild as a warm
-  // start) — each solve is exactly one of the two.
-  if (!rebuilt && warm) ++counters.warm_starts;
+  if (warm) ++counters.warm_starts;
   counters.active_set_changes += as_out.set_changes;
   counters.solve_time_ns += elapsed_ns(start);
   counters.peak_workspace_bytes =
@@ -346,32 +271,9 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   return result;
 }
 
-void CondensedQpSolver::save_cache(BinaryWriter& writer) const {
-  writer.section("condensed_cache");
-  writer.write_bool(state_ != CacheState::kEmpty);
-  if (state_ == CacheState::kEmpty) return;
-  write_matrix(writer, cached_e_);
-  write_matrix(writer, cached_h_);
-  write_matrix(writer, cached_a_);
-}
-
-void CondensedQpSolver::load_cache(BinaryReader& reader) {
-  reader.expect_section("condensed_cache");
-  if (!reader.read_bool()) {
-    state_ = CacheState::kEmpty;
-    return;
-  }
-  read_matrix(reader, cached_e_);
-  read_matrix(reader, cached_h_);
-  read_matrix(reader, cached_a_);
-  state_ = CacheState::kNeedsDerive;
-}
-
 std::size_t CondensedQpSolver::bytes() const {
   const std::size_t mats =
-      (cached_e_.capacity() + cached_h_.capacity() + cached_a_.capacity() +
-       z_.capacity() + zt_.capacity() + hz_.capacity() + h_r_.capacity() +
-       a_r_.capacity()) *
+      (z_.capacity() + hz_.capacity() + h_r_.capacity() + a_r_.capacity()) *
       sizeof(double);
   const std::size_t vecs =
       (d_p_.capacity() + rhs_full_.capacity() + g_r_.capacity() +
@@ -379,7 +281,8 @@ std::size_t CondensedQpSolver::bytes() const {
        y_eq_rhs_.capacity() + pivots_.capacity() + col_val_.capacity()) *
       sizeof(double);
   const std::size_t idx =
-      (col_ptr_.capacity() + col_j_.capacity() + warm_idx_.capacity()) *
+      (col_ptr_.capacity() + col_j_.capacity() + z_nz_ptr_.capacity() +
+       z_nz_col_.capacity() + warm_idx_.capacity()) *
       sizeof(std::size_t);
   return mats + vecs + idx + chol_hr_.workspace_bytes() +
          active_set_.bytes();

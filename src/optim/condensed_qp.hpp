@@ -16,12 +16,18 @@
 //     min ½ vᵀ(ZᵀHZ) v + (Zᵀ(H·d_p + g))ᵀ v   s.t.  (A·Z) v ≤ b − A·d_p
 //
 // solved by the warm-started dense active-set method in
-// optim/dense_active_set. The win is structural: Z, ZᵀHZ (and its Cholesky
-// factor), and A·Z depend only on the *linearization*, which barely moves
-// between SQP iterations and receding-horizon steps — so they are cached in
-// this solver and rebuilt only when the cached equality matrix drifts past
-// a tolerance. A steady-state warm solve is then two small triangular
-// sweeps and an active-set confirmation: microseconds, not milliseconds.
+// optim/dense_active_set. The win is structural: the 60-variable dense QP
+// is solved by a handful of active-set steps seeded from the previous
+// subproblem's multipliers, instead of a 134-variable interior point that
+// factors its KKT system every iteration.
+//
+// The solver keeps no cross-solve state: every call condenses the live
+// QpProblem it is given, so its result is a pure function of that problem
+// and the caller's warm seed, and a checkpoint needs nothing from it. The
+// condensing itself only pays for nonzeros — E has about three per row, Z
+// about one in nine, and H·Z, ZᵀHZ and A·Z are accumulated from the
+// nonzero entries in the same order a dense product would add them, so the
+// sums are bit-identical to the dense kernels.
 //
 // Which variables are "dependent" and in what order they can be eliminated
 // is problem knowledge, declared by the NLP through a CondensingPlan (the
@@ -33,8 +39,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "numerics/factorization.hpp"
@@ -43,28 +47,15 @@
 #include "optim/dense_active_set.hpp"
 #include "optim/qp.hpp"
 
-namespace evc {
-class BinaryReader;
-class BinaryWriter;
-}  // namespace evc
-
 namespace evc::opt {
 
 /// Which QP engine the SQP layer uses for its subproblems.
 enum class QpBackend {
-  kSparse,     ///< full-space interior point (the original path)
-  kCondensed,  ///< condensed dense active set, IPM fallback on failure
-  kAuto,       ///< condensed when the problem offers a plan, else sparse
+  kSparse,     ///< full-space interior point (the reference path)
+  kCondensed,  ///< condensed dense active set; interior point on failure
 };
 
 const char* to_string(QpBackend backend);
-/// Parse an EVC_MPC_BACKEND value ("sparse"|"condensed"|"auto");
-/// unknown strings → nullopt.
-std::optional<QpBackend> parse_qp_backend(std::string_view text);
-/// Backend from the EVC_MPC_BACKEND environment variable, or `fallback`
-/// when the variable is unset/empty/unrecognized (unrecognized values also
-/// print a note on stderr, mirroring EVC_SIMD handling).
-QpBackend qp_backend_from_env(QpBackend fallback);
 
 /// Declaration of an eliminable equality structure: equality row
 /// `dep_rows[i]` is solved for variable `dep_cols[i]`, in order. Valid iff
@@ -87,25 +78,12 @@ struct CondensingPlan {
   /// Validate index ranges/uniqueness and derive free_cols. Returns false
   /// (leaving the plan unusable) on any inconsistency. Triangularity and
   /// pivot health are structural properties of E and are checked against
-  /// the actual matrix at rebuild time, not here.
+  /// the actual matrix at every solve, not here.
   bool finalize();
 };
 
 struct CondensedQpOptions {
-  /// Relative ∞-norm drift of the equality matrix (and Hessian diagonal)
-  /// beyond which the cached prediction matrices are rebuilt. The cached
-  /// matrices are used *as* the linearization when within tolerance, so the
-  /// default is tight enough that reuse only happens when the SQP iterate
-  /// has effectively stopped moving (converged steps, ZOH holds) — a
-  /// rebuild is cheap, a silently stale model is not.
-  double drift_tolerance = 1e-7;
-  /// The SQP layer's Hessian and inequality matrix are constant across
-  /// iterations (quadratic objective, fixed bounds) except for the diagonal
-  /// regularization it may add — which the diagonal drift check catches.
-  /// Set false for problems whose full H/A genuinely change, at the cost of
-  /// a full-matrix compare per solve.
-  bool assume_constant_hessian = true;
-  /// Minimum pivot magnitude accepted when triangularizing E at rebuild.
+  /// Minimum pivot magnitude accepted when triangularizing E.
   double min_pivot = 1e-8;
   /// Inequality multipliers in the warm start seed the active set when they
   /// exceed max(warm_threshold, warm_relative · max_i z_i). The relative
@@ -119,61 +97,36 @@ struct CondensedQpOptions {
   DenseActiveSetOptions active_set;
 };
 
-/// Condensed-backend solver with a persistent prediction-matrix cache.
-/// One instance per SQP solver; not thread-safe. All cross-solve state is
-/// the cache (E/H/A snapshots) — checkpointable via save_cache/load_cache —
-/// plus matrices derived deterministically from it, so a restored solver
-/// replays byte-identically.
+/// Condensed-backend solver. One instance per SQP solver; not thread-safe.
+/// The members are scratch reused across calls to avoid allocation; none of
+/// them carries information from one solve to the next.
 class CondensedQpSolver {
  public:
-  /// Solve the QP through the condensed path. On any structural or
+  /// Condense `qp` along `plan` and solve it. On any structural or
   /// numerical failure returns a result with status kNumericalIssue
-  /// (usable() false) and books nothing but the attempt — the caller is
-  /// expected to fall back to solve_qp. On success books
-  /// solves/condensed_solves, either condense_rebuilds+factorizations (cache
-  /// miss) or warm_starts (cache hit with a warm seed), and
-  /// active_set_changes into `counters`.
+  /// (usable() false) — the caller is expected to fall back to solve_qp.
+  /// Every condensing books condense_rebuilds and factorizations (it
+  /// factors the reduced Hessian); a successful solve also books
+  /// solves/condensed_solves, warm_starts when `warm_start` seeded the
+  /// active set, and active_set_changes into `counters`.
   QpResult solve(const QpProblem& qp, const CondensingPlan& plan,
                  const CondensedQpOptions& options, QpPerfCounters& counters,
                  const QpWarmStart* warm_start);
 
-  /// Drop the cached prediction matrices (next solve rebuilds).
-  void invalidate() { state_ = CacheState::kEmpty; }
-  bool has_cache() const { return state_ != CacheState::kEmpty; }
-
-  /// Serialize the cache snapshots (E/H/A at last rebuild). The derived
-  /// matrices are *not* written: load_cache marks them for silent
-  /// re-derivation on the next solve — same bits, no counter increments, so
-  /// a restored run's telemetry matches an uninterrupted one.
-  void save_cache(BinaryWriter& writer) const;
-  void load_cache(BinaryReader& reader);
-
   std::size_t bytes() const;
 
  private:
-  enum class CacheState {
-    kEmpty,        ///< no snapshots; next solve rebuilds
-    kNeedsDerive,  ///< snapshots restored from a checkpoint; derive silently
-    kReady,        ///< snapshots + derived matrices valid
-  };
-
-  bool plan_matches(const QpProblem& qp, const CondensingPlan& plan) const;
-  bool drift_within(const QpProblem& qp, const CondensedQpOptions& options)
-      const;
   /// Build Z, H_r = ZᵀHZ (+ Cholesky), A_r = A·Z and the dual-recovery
-  /// tables from the cached snapshots. Returns false when E cannot be
-  /// triangularized in plan order or H_r is not positive definite.
-  bool derive(const CondensingPlan& plan, double min_pivot);
+  /// tables from `qp`. Returns false when E cannot be triangularized in
+  /// plan order or H_r is not positive definite.
+  bool condense(const QpProblem& qp, const CondensingPlan& plan,
+                double min_pivot);
+  /// out := m·Z over the nonzeros of m and Z (needs z_ and its index).
+  void times_z(const num::Matrix& m, num::Matrix& out) const;
 
-  CacheState state_ = CacheState::kEmpty;
-
-  // Snapshots of the linearization the cache was built from.
-  num::Matrix cached_e_, cached_h_, cached_a_;
-
-  // Derived: the condensed problem.
+  // The condensed problem.
   num::Matrix z_;    ///< num_vars × num_free null-space basis, E·Z = 0
-  num::Matrix zt_;   ///< Zᵀ (kept for the ZᵀHZ product)
-  num::Matrix hz_;   ///< H·Z scratch
+  num::Matrix hz_;   ///< H·Z
   num::Matrix h_r_;  ///< ZᵀHZ
   num::Matrix a_r_;  ///< A·Z
   num::CholeskyFactorization chol_hr_;
@@ -182,6 +135,9 @@ class CondensedQpSolver {
   // E(dep_rows[j], dep_cols[i]) with j > i, flattened CSR-style.
   std::vector<std::size_t> col_ptr_, col_j_;
   std::vector<double> col_val_;
+  // Nonzeros of Z by row: z_nz_ptr_[k]..z_nz_ptr_[k+1] index the columns
+  // t with Z(k, t) != 0, ascending.
+  std::vector<std::size_t> z_nz_ptr_, z_nz_col_;
 
   DenseActiveSetSolver active_set_;
 

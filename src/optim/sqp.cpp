@@ -85,31 +85,56 @@ MeritEval evaluate_merit(const NlpProblem& problem, const num::Matrix& a_mat,
 // solve J·Jᵀ·λ = −c and set p = Jᵀ·λ, the minimum-norm step with
 // J·p = −c. Returns false when J·Jᵀ is numerically singular (redundant or
 // rank-deficient linearization) or the correction is non-finite — the
-// caller then falls back to plain backtracking. Sizes here are the
-// equality count (≲ 100 for the MPC), and the path only runs when a full
-// step was rejected, so dense formation of J·Jᵀ is cheap; all buffers are
-// caller-owned and reused across corrections.
+// caller then falls back to plain backtracking. J has a handful of
+// nonzeros per row, so both products walk each row's nonzeros only: entry
+// (i, k) of J·Jᵀ merges rows i and k and adds the shared-column products in
+// ascending column order, the order of the dense sum minus its exact-zero
+// terms, so the bits match the dense product.
 bool solve_least_norm_restoration(const num::Matrix& j, const num::Vector& c,
-                                  num::Matrix& jjt, num::LuFactorization& lu,
-                                  num::Vector& rhs, num::Vector& lambda,
-                                  num::Vector& p) {
+                                  SocWorkspace& ws) {
   const std::size_t me = j.rows(), n = j.cols();
-  jjt.resize(me, me);
+  ws.row_ptr.assign(me + 1, 0);
+  ws.cols.clear();
+  ws.vals.clear();
+  for (std::size_t i = 0; i < me; ++i) {
+    ws.row_ptr[i] = ws.cols.size();
+    const double* row = j.row_ptr(i);
+    for (std::size_t col = 0; col < n; ++col)
+      if (row[col] != 0.0) {
+        ws.cols.push_back(col);
+        ws.vals.push_back(row[col]);
+      }
+  }
+  ws.row_ptr[me] = ws.cols.size();
+
+  ws.jjt.resize(me, me);
   for (std::size_t i = 0; i < me; ++i) {
     for (std::size_t k = i; k < me; ++k) {
       double acc = 0.0;
-      for (std::size_t col = 0; col < n; ++col) acc += j(i, col) * j(k, col);
-      jjt(i, k) = acc;
-      jjt(k, i) = acc;
+      std::size_t a = ws.row_ptr[i], b = ws.row_ptr[k];
+      while (a < ws.row_ptr[i + 1] && b < ws.row_ptr[k + 1]) {
+        if (ws.cols[a] < ws.cols[b]) {
+          ++a;
+        } else if (ws.cols[b] < ws.cols[a]) {
+          ++b;
+        } else {
+          acc += ws.vals[a++] * ws.vals[b++];
+        }
+      }
+      ws.jjt(i, k) = acc;
+      ws.jjt(k, i) = acc;
     }
   }
-  if (!lu.factorize(jjt)) return false;
-  rhs.resize(me);
-  for (std::size_t i = 0; i < me; ++i) rhs[i] = -c[i];
-  lu.solve_into(rhs, lambda);
-  num::gemv_t(1.0, j, lambda, 0.0, p);
-  for (std::size_t i = 0; i < p.size(); ++i)
-    if (!std::isfinite(p[i])) return false;
+  if (!ws.lu.factorize(ws.jjt)) return false;
+  ws.rhs.resize(me);
+  for (std::size_t i = 0; i < me; ++i) ws.rhs[i] = -c[i];
+  ws.lu.solve_into(ws.rhs, ws.lambda);
+  ws.p.assign(n, 0.0);
+  for (std::size_t i = 0; i < me; ++i)
+    for (std::size_t t = ws.row_ptr[i]; t < ws.row_ptr[i + 1]; ++t)
+      ws.p[ws.cols[t]] += ws.lambda[i] * ws.vals[t];
+  for (std::size_t i = 0; i < n; ++i)
+    if (!std::isfinite(ws.p[i])) return false;
   return true;
 }
 
@@ -207,7 +232,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
     // Anything it cannot handle — no plan, stale structure, active-set
     // breakdown — falls through to the interior-point loop below, whose
     // regularize-and-retry covers the condensed failure modes too.
-    if (options_.backend != QpBackend::kSparse) {
+    if (options_.backend == QpBackend::kCondensed) {
       if (const CondensingPlan* plan = problem.condensing_plan()) {
         qp_result = condensed_.solve(qp_, *plan, options_.condensed,
                                      qp_ws_.counters_mut(), qp_seed);
@@ -286,19 +311,20 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
         if (ls == 0 && options_.second_order_correction && !cand.c.empty() &&
             (!accepted ||
              cand.eq_l1 > std::max(0.5 * cur.eq_l1,
-                                   options_.constraint_tolerance)) &&
-            solve_least_norm_restoration(qp_.e_mat, cand.c, soc_jjt_, soc_lu_,
-                                         soc_rhs_, soc_lambda_, soc_p_)) {
-          num::copy_into(candidate_, soc_candidate_);
-          soc_candidate_.add_scaled(1.0, soc_p_);
-          MeritEval cand_soc =
-              evaluate_merit(problem, a_mat, b_vec, soc_candidate_, ax_);
-          if (cand_soc.phi(nu) <= phi0 + 1e-4 * std::min(descent, 0.0) &&
-              (!accepted || cand_soc.phi(nu) < cand.phi(nu))) {
-            num::copy_into(soc_candidate_, candidate_);
-            cand = std::move(cand_soc);
-            accepted = true;
-            ++result.soc_steps;
+                                   options_.constraint_tolerance))) {
+          ++result.soc_tried;
+          if (solve_least_norm_restoration(qp_.e_mat, cand.c, soc_)) {
+            num::copy_into(candidate_, soc_candidate_);
+            soc_candidate_.add_scaled(1.0, soc_.p);
+            MeritEval cand_soc =
+                evaluate_merit(problem, a_mat, b_vec, soc_candidate_, ax_);
+            if (cand_soc.phi(nu) <= phi0 + 1e-4 * std::min(descent, 0.0) &&
+                (!accepted || cand_soc.phi(nu) < cand.phi(nu))) {
+              num::copy_into(soc_candidate_, candidate_);
+              cand = std::move(cand_soc);
+              accepted = true;
+              ++result.soc_steps;
+            }
           }
         }
         if (accepted) {
@@ -328,8 +354,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
     // iterate is itself feasible, converge there and discard the step: it
     // bought no merit, and keeping the iterate bit-identical makes a
     // steady-state replan a true fixed point — the next solve linearizes at
-    // the same point, registers zero drift, and rides the condensed cache
-    // instead of rebuilding over a microscopic creep.
+    // the same point instead of chasing a microscopic creep.
     const double phi_new = cand.phi(nu);
     if (phi0 - phi_new <= 1e-7 * (1.0 + std::abs(phi_new)) &&
         cand.eq_inf <= options_.constraint_tolerance &&
@@ -350,6 +375,9 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
   }
 
   sqp_span.arg("iterations", static_cast<double>(result.iterations));
+  sqp_span.arg("status", static_cast<double>(result.status));
+  sqp_span.arg("soc_tried", static_cast<double>(result.soc_tried));
+  sqp_span.arg("soc_steps", static_cast<double>(result.soc_steps));
   result.cost = cur.f;
   result.constraint_violation = cur.viol_inf();
   if (have_duals) {

@@ -10,13 +10,15 @@
 // Hot-path behaviour: the solver owns a persistent QpWorkspace and a reused
 // QP subproblem, so consecutive iterations (and consecutive solves on a
 // receding horizon) share storage. QP duals are carried from one subproblem
-// to the next as interior-point warm starts, and the merit value of an
-// accepted line-search candidate is cached so the next iteration does not
-// re-evaluate cost/constraints at the same point.
+// to the next as warm starts (the condensed path's active set, the interior
+// point's duals), and the merit value of an accepted line-search candidate
+// is cached so the next iteration does not re-evaluate cost/constraints at
+// the same point.
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "optim/condensed_qp.hpp"
 #include "optim/nlp.hpp"
@@ -62,12 +64,12 @@ struct SqpOptions {
   /// survives.
   bool second_order_correction = true;
   QpOptions qp;
-  /// QP engine for the subproblems. kCondensed/kAuto route each subproblem
+  /// QP engine for the subproblems. kCondensed routes each subproblem
   /// through the condensed dense active-set path when the problem offers a
   /// CondensingPlan, falling back to the sparse interior point on any
-  /// failure (and always when no plan exists). kSparse is the original
-  /// behaviour.
-  QpBackend backend = QpBackend::kSparse;
+  /// failure (and always when no plan exists). kSparse forces the interior
+  /// point — the reference the condensed path is tested against.
+  QpBackend backend = QpBackend::kCondensed;
   CondensedQpOptions condensed;
 };
 
@@ -83,7 +85,9 @@ struct SqpResult {
   double constraint_violation = 0.0;  ///< ‖c(x)‖∞ at the final iterate
   std::size_t iterations = 0;
   std::size_t qp_iterations_total = 0;
-  /// Line searches rescued by a second-order correction step.
+  /// Line searches that tried a second-order correction, and those it
+  /// rescued (the corrected point was accepted).
+  std::size_t soc_tried = 0;
   std::size_t soc_steps = 0;
 
   bool usable() const { return status != SqpStatus::kQpFailure; }
@@ -96,6 +100,17 @@ struct SqpWarmStart {
   num::Vector y_eq;
   num::Vector z_ineq;
   bool empty() const { return y_eq.empty() && z_ineq.empty(); }
+};
+
+/// Reused buffers of the second-order correction: J's nonzeros by row,
+/// J·Jᵀ and its factorization, the restoration multipliers λ, and the
+/// correction step p = Jᵀ·λ.
+struct SocWorkspace {
+  std::vector<std::size_t> row_ptr, cols;
+  std::vector<double> vals;
+  num::Matrix jjt;
+  num::LuFactorization lu;
+  num::Vector rhs, lambda, p;
 };
 
 class SqpSolver {
@@ -125,16 +140,6 @@ class SqpSolver {
     return qp_ws_.bytes() + condensed_.bytes();
   }
 
-  /// Checkpoint the condensed backend's cross-solve state (the cached
-  /// prediction matrices). Always writes a section, empty-cache included,
-  /// so the stream layout does not depend on the backend in use.
-  void save_backend_state(BinaryWriter& writer) const {
-    condensed_.save_cache(writer);
-  }
-  void load_backend_state(BinaryReader& reader) const {
-    condensed_.load_cache(reader);
-  }
-
  private:
   SqpOptions options_;
   // Persistent hot-path storage (see class comment): reused across
@@ -145,11 +150,7 @@ class SqpSolver {
   mutable QpWarmStart qp_warm_;
   mutable num::Vector candidate_;
   mutable num::Vector ax_;
-  // Second-order-correction scratch: J·Jᵀ and its factorization, the
-  // restoration multipliers, and the correction step p = Jᵀ·λ.
-  mutable num::Matrix soc_jjt_;
-  mutable num::LuFactorization soc_lu_;
-  mutable num::Vector soc_rhs_, soc_lambda_, soc_p_;
+  mutable SocWorkspace soc_;
   mutable num::Vector soc_candidate_;
 };
 

@@ -37,7 +37,9 @@ namespace evc::sim {
 /// v2: flight-recorder ring + per-step solver effort in the MPC section.
 /// v3: condensed-QP counters + backend cache section in the MPC section.
 /// v4: supervisor tier floor + forced-demotion counter.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 4;
+/// v5: the MPC section drops v3's backend cache section (the condensed QP
+///     path keeps no cross-solve state).
+inline constexpr std::uint32_t kCheckpointFormatVersion = 5;
 
 /// I/O failure while writing or reading a checkpoint file (open, short
 /// write, fsync, rename). Distinct from SerializationError — the content

@@ -224,6 +224,24 @@ TEST(SessionCheckpoint, ResumeIsByteIdenticalWithFaultsFdiAndMpc) {
   expect_same_traces(reference, resumed);
 }
 
+TEST(SessionCheckpoint, MpcCheckpointStaysSmallOnCondensedBackend) {
+  // The condensed QP path keeps no cross-solve state, so an MPC session's
+  // checkpoint carries the warm-start plan, duals, telemetry and a few
+  // steps of traces — kilobytes, not the ~430 KB of dense linearization
+  // snapshots (E, H, A) the format stored before v5.
+  const core::EvParams params;
+  const auto profile =
+      drive::make_cycle_profile(drive::StandardCycle::kEceEudc, 35.0)
+          .window(0, 60);
+  core::MpcOptions mpc_options;
+  mpc_options.sqp.backend = opt::QpBackend::kCondensed;
+  auto controller = core::make_mpc_controller(params, mpc_options);
+  core::SimulationSession session(params, *controller, profile, {});
+  while (controller->stats().plans < 3) session.advance();
+  ASSERT_GT(controller->stats().solver.condensed_solves, 0u);
+  EXPECT_LT(session.checkpoint().size(), 16u * 1024u);
+}
+
 TEST(SessionCheckpoint, FileRoundTripMatchesUninterruptedRun) {
   // Cheap controller (On/Off) so the file path variant stays fast.
   const core::EvParams params;

@@ -1,13 +1,15 @@
 // Condensed QP backend: agreement with the sparse interior-point path on
 // real MPC subproblems across randomized horizons and constraint patterns,
-// prediction-matrix cache/counter accounting, checkpoint round-trips, and
-// backend selection plumbing.
+// statelessness (bit-identical results whatever was solved before) and its
+// counter accounting, controller checkpoint round-trips, and the backend
+// default.
 #include "optim/condensed_qp.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,8 +18,10 @@
 #include "core/mpc_formulation.hpp"
 #include "hvac/hvac_params.hpp"
 #include "numerics/kernels.hpp"
+#include "obs/trace.hpp"
 #include "optim/qp.hpp"
 #include "optim/sqp.hpp"
+#include "util/json_parse.hpp"
 #include "util/random.hpp"
 #include "util/serialize.hpp"
 
@@ -219,86 +223,88 @@ TEST(CondensedQpTest, ActiveSetChangesMidHorizonStillAgree) {
   EXPECT_EQ(counters.condensed_solves, 6u);
 }
 
-TEST(CondensedQpTest, CacheHitBooksWarmStartNotRebuild) {
-  const auto f = make_formulation(8, 5);
-  const num::Vector z = perturbed_iterate(f, 5, 0.01);
-  const opt::QpProblem qp = subproblem_at(f, z);
-
-  opt::CondensedQpSolver solver;
-  opt::QpPerfCounters counters;
-  const opt::CondensedQpOptions options;
-
-  // Cold solve: a rebuild, which also counts as the factorization it
-  // performs — and not a warm start.
-  const auto first =
-      solver.solve(qp, *f.condensing_plan(), options, counters, nullptr);
-  ASSERT_TRUE(first.usable());
-  EXPECT_EQ(counters.condense_rebuilds, 1u);
-  EXPECT_EQ(counters.factorizations, 1u);
-  EXPECT_EQ(counters.warm_starts, 0u);
-
-  // Identical problem, seeded from the first solve: a cache hit — books a
-  // warm start, no rebuild, no factorization (the no-double-count rule).
-  opt::QpWarmStart warm;
-  warm.x = first.x;
-  warm.y_eq = first.y_eq;
-  warm.z_ineq = first.z_ineq;
-  const auto second =
-      solver.solve(qp, *f.condensing_plan(), options, counters, &warm);
-  ASSERT_TRUE(second.usable());
-  EXPECT_EQ(counters.condense_rebuilds, 1u);
-  EXPECT_EQ(counters.factorizations, 1u);
-  EXPECT_EQ(counters.warm_starts, 1u);
-  EXPECT_EQ(counters.condensed_solves, 2u);
-  for (std::size_t i = 0; i < qp.num_vars(); ++i)
-    EXPECT_NEAR(second.x[i], first.x[i], 1e-9);
-
-  // Drifted linearization: rebuild again.
-  const num::Vector z2 = perturbed_iterate(f, 6, 0.01);
-  const opt::QpProblem qp2 = subproblem_at(f, z2);
-  const auto third =
-      solver.solve(qp2, *f.condensing_plan(), options, counters, &warm);
-  ASSERT_TRUE(third.usable());
-  EXPECT_EQ(counters.condense_rebuilds, 2u);
-  EXPECT_EQ(counters.factorizations, 2u);
+/// Bitwise equality (EXPECT_EQ on doubles would let −0 match +0).
+void expect_same_bits(const num::Vector& a, const num::Vector& b,
+                      const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << what << "[" << i << "]";
 }
 
-TEST(CondensedQpTest, CacheCheckpointRoundTripReplaysWithoutRebuild) {
-  const auto f = make_formulation(8, 21);
-  const num::Vector z = perturbed_iterate(f, 21, 0.01);
-  const opt::QpProblem qp = subproblem_at(f, z);
+TEST(CondensedQpTest, SolveIsPureFunctionOfProblemAndSeed) {
+  // The solver keeps no cross-solve state: one that has already solved
+  // other subproblems — other horizons, other linearizations, warm-seeded
+  // chains — returns the very bits a fresh solver does, cold and warm.
+  const auto f = make_formulation(12, 31);
+  const opt::QpProblem target =
+      subproblem_at(f, perturbed_iterate(f, 31, 0.01));
   const opt::CondensedQpOptions options;
 
-  opt::CondensedQpSolver original;
+  opt::CondensedQpSolver fresh;
+  opt::QpPerfCounters fresh_counters;
+  const auto cold =
+      fresh.solve(target, *f.condensing_plan(), options, fresh_counters,
+                  nullptr);
+  ASSERT_TRUE(cold.usable());
+  opt::QpWarmStart seed;
+  seed.x = cold.x;
+  seed.y_eq = cold.y_eq;
+  seed.z_ineq = cold.z_ineq;
+  opt::CondensedQpSolver fresh_warm;
+  const auto warm = fresh_warm.solve(target, *f.condensing_plan(), options,
+                                     fresh_counters, &seed);
+  ASSERT_TRUE(warm.usable());
+
+  opt::CondensedQpSolver used;
   opt::QpPerfCounters counters;
-  const auto before =
-      original.solve(qp, *f.condensing_plan(), options, counters, nullptr);
-  ASSERT_TRUE(before.usable());
+  std::size_t solved = 0;
+  for (const std::size_t horizon : {7u, 12u}) {
+    const auto other = make_formulation(horizon, 500 + horizon);
+    opt::QpWarmStart chain;
+    const opt::QpWarmStart* chain_seed = nullptr;
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      const auto r = used.solve(
+          subproblem_at(other, perturbed_iterate(other, 600 + k, 0.01)),
+          *other.condensing_plan(), options, counters, chain_seed);
+      ASSERT_TRUE(r.usable()) << "h=" << horizon << " k=" << k;
+      ++solved;
+      chain.x = r.x;
+      chain.y_eq = r.y_eq;
+      chain.z_ineq = r.z_ineq;
+      chain_seed = &chain;
+    }
+  }
+  const auto cold_again =
+      used.solve(target, *f.condensing_plan(), options, counters, nullptr);
+  const auto warm_again =
+      used.solve(target, *f.condensing_plan(), options, counters, &seed);
+  ASSERT_TRUE(cold_again.usable());
+  ASSERT_TRUE(warm_again.usable());
+  solved += 2;
+  expect_same_bits(cold_again.x, cold.x, "cold x");
+  expect_same_bits(cold_again.y_eq, cold.y_eq, "cold y");
+  expect_same_bits(cold_again.z_ineq, cold.z_ineq, "cold z");
+  expect_same_bits(warm_again.x, warm.x, "warm x");
+  expect_same_bits(warm_again.y_eq, warm.y_eq, "warm y");
+  expect_same_bits(warm_again.z_ineq, warm.z_ineq, "warm z");
 
-  BinaryWriter writer;
-  original.save_cache(writer);
-  const std::string bytes = writer.take();
-  opt::CondensedQpSolver restored;
-  BinaryReader reader(bytes);
-  restored.load_cache(reader);
-  EXPECT_TRUE(restored.has_cache());
-
-  // The restored solver re-derives silently: same solution, and the rebuild
-  // counter does not move — a restored run's telemetry matches an
-  // uninterrupted one.
-  opt::QpPerfCounters restored_counters;
-  const auto after = restored.solve(qp, *f.condensing_plan(), options,
-                                    restored_counters, nullptr);
-  ASSERT_TRUE(after.usable());
-  EXPECT_EQ(restored_counters.condense_rebuilds, 0u);
-  for (std::size_t i = 0; i < qp.num_vars(); ++i)
-    EXPECT_NEAR(after.x[i], before.x[i], 1e-12);
+  // Every solve condenses, and the counters say so: one condensing and one
+  // reduced-Hessian factorization per solve, so a hit ratio computed from
+  // them reads 0. Warm starts count the seeded solves (two per chain plus
+  // the final warm one).
+  EXPECT_EQ(counters.condensed_solves, solved);
+  EXPECT_EQ(counters.condense_rebuilds, solved);
+  EXPECT_EQ(counters.factorizations, solved);
+  EXPECT_EQ(counters.warm_starts, 5u);
 }
 
 TEST(CondensedQpTest, SqpEndToEndMatchesSparseBackend) {
   const auto f = make_formulation(8, 42);
   opt::SqpOptions sparse_opts;
   sparse_opts.max_iterations = 12;
+  sparse_opts.backend = opt::QpBackend::kSparse;
   opt::SqpOptions condensed_opts = sparse_opts;
   condensed_opts.backend = opt::QpBackend::kCondensed;
 
@@ -321,21 +327,45 @@ TEST(CondensedQpTest, SqpEndToEndMatchesSparseBackend) {
               1e-6 * (1.0 + sparse.constraint_violation));
 }
 
-TEST(CondensedQpTest, BackendParsingAndEnvSelection) {
-  EXPECT_EQ(opt::parse_qp_backend("sparse"), opt::QpBackend::kSparse);
-  EXPECT_EQ(opt::parse_qp_backend("condensed"), opt::QpBackend::kCondensed);
-  EXPECT_EQ(opt::parse_qp_backend("auto"), opt::QpBackend::kAuto);
-  EXPECT_FALSE(opt::parse_qp_backend("fancy").has_value());
+#if !defined(EVC_OBS_NO_TRACING)
+TEST(CondensedQpTest, SqpSolveSpanReportsStatusAndCorrections) {
+  // The sqp.solve span says how the solve ended and how often the
+  // second-order correction was tried and taken, matching the result.
+  const auto f = make_formulation(8, 42);
+  const opt::SqpSolver solver(core::MpcOptions{}.sqp);
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  const opt::SqpResult result = solver.solve(f, f.cold_start());
+  const JsonValue doc = parse_json(tracer.chrome_json());
+  tracer.set_enabled(false);
+  tracer.clear();
+  ASSERT_TRUE(result.usable());
+  EXPECT_GE(result.soc_tried, result.soc_steps);
 
-  ::setenv("EVC_MPC_BACKEND", "condensed", 1);
-  EXPECT_EQ(opt::qp_backend_from_env(opt::QpBackend::kSparse),
-            opt::QpBackend::kCondensed);
-  ::setenv("EVC_MPC_BACKEND", "not-a-backend", 1);
-  EXPECT_EQ(opt::qp_backend_from_env(opt::QpBackend::kAuto),
-            opt::QpBackend::kAuto);
-  ::unsetenv("EVC_MPC_BACKEND");
-  EXPECT_EQ(opt::qp_backend_from_env(opt::QpBackend::kSparse),
-            opt::QpBackend::kSparse);
+  const JsonValue* args = nullptr;
+  for (const JsonValue& event : doc.find("traceEvents")->items())
+    if (event.find("name")->as_string() == "sqp.solve")
+      args = event.find("args");
+  ASSERT_NE(args, nullptr);
+  const auto arg = [args](const char* name) {
+    const JsonValue* v = args->find(name);
+    return v != nullptr ? v->as_number() : -1.0;
+  };
+  EXPECT_EQ(arg("iterations"), static_cast<double>(result.iterations));
+  EXPECT_EQ(arg("status"), static_cast<double>(result.status));
+  EXPECT_EQ(arg("soc_tried"), static_cast<double>(result.soc_tried));
+  EXPECT_EQ(arg("soc_steps"), static_cast<double>(result.soc_steps));
+}
+#endif  // !EVC_OBS_NO_TRACING
+
+TEST(CondensedQpTest, BackendNamesAndCondensedDefault) {
+  EXPECT_STREQ(opt::to_string(opt::QpBackend::kSparse), "sparse");
+  EXPECT_STREQ(opt::to_string(opt::QpBackend::kCondensed), "condensed");
+  // Condensed is the default at both layers; the sparse interior point
+  // stays selectable as the reference.
+  EXPECT_EQ(opt::SqpOptions{}.backend, opt::QpBackend::kCondensed);
+  EXPECT_EQ(core::MpcOptions{}.sqp.backend, opt::QpBackend::kCondensed);
 }
 
 TEST(CondensedQpTest, ControllerCheckpointRoundTripUnderCondensedBackend) {

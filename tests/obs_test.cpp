@@ -238,6 +238,40 @@ TEST(Trace, ChromeJsonCarriesSpansArgsAndSimTime) {
   }
   EXPECT_EQ(depth, 0);
 }
+
+TEST(Trace, SpanCarriesSeveralNamedArgs) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  {
+    EVC_TRACE_SPAN_VAR(span, "test.multi_arg");
+    span.arg("iterations", 7.0);
+    span.arg("status", 1.0);
+    span.arg("iterations", 8.0);  // a repeated name overwrites its value
+    span.arg("soc_tried", 3.0);
+    span.arg("soc_steps", 2.0);
+    span.arg("overflow", 9.0);  // beyond kMaxTraceArgs names: dropped
+  }
+  const JsonValue doc = parse_json(tracer.chrome_json());
+  tracer.set_enabled(false);
+  tracer.clear();
+
+  const JsonValue* args = nullptr;
+  for (const JsonValue& event : doc.find("traceEvents")->items())
+    if (event.find("name")->as_string() == "test.multi_arg")
+      args = event.find("args");
+  ASSERT_NE(args, nullptr);
+  static_assert(obs::kMaxTraceArgs == 4);
+  ASSERT_NE(args->find("iterations"), nullptr);
+  EXPECT_EQ(args->find("iterations")->as_number(), 8.0);
+  ASSERT_NE(args->find("status"), nullptr);
+  EXPECT_EQ(args->find("status")->as_number(), 1.0);
+  ASSERT_NE(args->find("soc_tried"), nullptr);
+  EXPECT_EQ(args->find("soc_tried")->as_number(), 3.0);
+  ASSERT_NE(args->find("soc_steps"), nullptr);
+  EXPECT_EQ(args->find("soc_steps")->as_number(), 2.0);
+  EXPECT_EQ(args->find("overflow"), nullptr);
+}
 #endif  // !EVC_OBS_NO_TRACING
 
 TEST(Trace, EnvGuardWithoutEnvWritesNothing) {

@@ -1,8 +1,12 @@
 // Tests for drive-profile CSV round-tripping and malformed-input handling.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "drivecycle/profile_io.hpp"
 #include "drivecycle/standard_cycles.hpp"
@@ -13,7 +17,17 @@ namespace {
 class ProfileIoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  const std::string path_ = "/tmp/evc_profile_io_test.csv";
+  // One file per case and process: ctest runs every case as its own
+  // process, and a parallel run would otherwise have them rewrite and
+  // remove each other's file.
+  const std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       ("evc_profile_io_test_" +
+        std::string(::testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name()) +
+        "_" + std::to_string(::getpid()) + ".csv"))
+          .string();
 };
 
 TEST_F(ProfileIoTest, RoundTripPreservesSamples) {
