@@ -124,8 +124,7 @@ void write_json(const std::string& path, const drive::DriveProfile& profile,
   json.begin_object();
   json.key("bench").value("robustness_faults");
   // The QP engine and SIMD ISA this run actually exercised, so stored
-  // artifacts from different builds or EVC_SIMD targets stay
-  // distinguishable.
+  // artifacts from different builds or hosts stay distinguishable.
   json.key("backend").value(
       opt::to_string(core::MpcOptions{}.sqp.backend));
   json.key("simd").value(num::simd::to_string(num::simd::active_isa()));

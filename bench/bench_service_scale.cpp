@@ -14,8 +14,7 @@
 //
 // The artifact also records the active QP backend and SIMD ISA plus the
 // service counters (admit/reject/shed/evict/restore, svc.step_ns
-// p50/p99), so stored runs from different builds or EVC_SIMD targets
-// A/B cleanly.
+// p50/p99), so stored runs from different builds or hosts A/B cleanly.
 //
 // Flags: --vehicles N  resident sessions (default 100000)
 //        --waves N     steady-state full-population sweeps (default 2)

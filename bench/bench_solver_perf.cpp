@@ -5,8 +5,10 @@
 // workspace's perf counters as JSON (BENCH_solver.json in CI). Unlike
 // bench_micro_optim (google-benchmark, human-oriented), this harness is
 // plain chrono so the output schema is ours and diffable across runs:
-//   { "benches": [ {"name", "reps", "wall_ns", "ns_per_rep",
-//                   "solver": {<QpPerfCounters>}, ...}, ... ] }
+//   { "schema",
+//     "benches": [ {"name", "reps", "wall_ns", "ns_per_rep",
+//                   "solver": {<QpPerfCounters>}, ...}, ... ],
+//     "backend", "simd" }
 //
 // Usage: bench_solver_perf [--out PATH]   (default BENCH_solver.json)
 #include <chrono>
@@ -19,6 +21,7 @@
 #include "core/mpc_controller.hpp"
 #include "hvac/hvac_params.hpp"
 #include "numerics/factorization.hpp"
+#include "numerics/simd.hpp"
 #include "optim/dense_active_set.hpp"
 #include "optim/qp.hpp"
 #include "optim/sqp.hpp"
@@ -292,6 +295,14 @@ int main(int argc, char** argv) {
   }
 
   json.end_array();
+  // The QP backend the MPC benches plan with by default and the SIMD ISA
+  // this run executed, so artifacts from different builds or hosts stay
+  // distinguishable. Written after the rows: the output buffer then grows
+  // exactly as it did without these keys while the benches run, and the
+  // MPC rows are sensitive to where their buffers land on the heap
+  // (mpc_plan_step_warm read ~12 % slower with the keys written first).
+  json.key("backend").value(opt::to_string(core::MpcOptions{}.sqp.backend));
+  json.key("simd").value(num::simd::to_string(num::simd::active_isa()));
   json.end_object();
 
   const std::string doc = json.str();

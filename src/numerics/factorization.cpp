@@ -22,7 +22,6 @@ bool LuFactorization::factorize(const Matrix& a) {
 
   // Scale reference for the singularity test: relative to the matrix norm.
   const double scale = std::max(lu_.norm_max(), 1.0);
-  const bool vec = simd::dispatch_enabled();
 
   ok_ = true;
   for (std::size_t k = 0; k < n_; ++k) {
@@ -52,12 +51,8 @@ bool LuFactorization::factorize(const Matrix& a) {
       const double m = lu_(r, k) * inv_pivot;
       lu_(r, k) = m;
       if (m == 0.0) continue;
-      if (vec) {
-        // Trailing-row update is a contiguous axpy along row r.
-        simd::active().axpy(-m, &lu_(k, k + 1), &lu_(r, k + 1), n_ - k - 1);
-      } else {
-        for (std::size_t c = k + 1; c < n_; ++c) lu_(r, c) -= m * lu_(k, c);
-      }
+      // Trailing-row update is a contiguous axpy along row r.
+      simd::active().axpy(-m, &lu_(k, k + 1), &lu_(r, k + 1), n_ - k - 1);
     }
   }
   return ok_;
@@ -68,30 +63,15 @@ void LuFactorization::solve_into(const Vector& b, Vector& x) const {
   EVC_EXPECT(b.size() == n_, "LU solve dimension mismatch");
   EVC_EXPECT(&b != &x, "LU solve_into output aliases input");
   x.resize(n_);
-  if (simd::dispatch_enabled()) {
-    const simd::KernelTable& tbl = simd::active();
-    // Forward: L·y = P·b (unit lower triangular); row i dots the already
-    // computed prefix of x.
-    for (std::size_t i = 0; i < n_; ++i)
-      x[i] = b[perm_[i]] - tbl.dot(lu_.row_ptr(i), x.ptr(), i);
-    // Backward: U·x = y, dotting the already computed suffix.
-    for (std::size_t ii = n_; ii-- > 0;) {
-      const double acc = x[ii] - tbl.dot(lu_.row_ptr(ii) + ii + 1,
-                                         x.ptr() + ii + 1, n_ - ii - 1);
-      x[ii] = acc / lu_(ii, ii);
-    }
-    return;
-  }
-  // Forward: L·y = P·b (unit lower triangular).
-  for (std::size_t i = 0; i < n_; ++i) {
-    double acc = b[perm_[i]];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
-    x[i] = acc;
-  }
-  // Backward: U·x = y.
+  const simd::KernelTable& tbl = simd::active();
+  // Forward: L·y = P·b (unit lower triangular); row i dots the already
+  // computed prefix of x.
+  for (std::size_t i = 0; i < n_; ++i)
+    x[i] = b[perm_[i]] - tbl.dot(lu_.row_ptr(i), x.ptr(), i);
+  // Backward: U·x = y, dotting the already computed suffix.
   for (std::size_t ii = n_; ii-- > 0;) {
-    double acc = x[ii];
-    for (std::size_t j = ii + 1; j < n_; ++j) acc -= lu_(ii, j) * x[j];
+    const double acc = x[ii] - tbl.dot(lu_.row_ptr(ii) + ii + 1,
+                                       x.ptr() + ii + 1, n_ - ii - 1);
     x[ii] = acc / lu_(ii, ii);
   }
 }
@@ -114,28 +94,12 @@ bool CholeskyFactorization::factorize(const Matrix& a) {
   n_ = a.rows();
   l_.resize(n_, n_);
   ok_ = true;
-  if (simd::dispatch_enabled()) {
-    const simd::KernelTable& tbl = simd::active();
-    // Row-dot form: column j's panel update dots the already computed
-    // leading rows of L, which are contiguous in row-major storage.
-    for (std::size_t j = 0; j < n_; ++j) {
-      const double* lj = l_.row_ptr(j);
-      const double diag = a(j, j) - tbl.dot(lj, lj, j);
-      // Inverted test so a NaN diagonal also fails.
-      if (!(diag > 0.0)) {
-        ok_ = false;
-        return ok_;
-      }
-      l_(j, j) = std::sqrt(diag);
-      const double inv = 1.0 / l_(j, j);
-      for (std::size_t i = j + 1; i < n_; ++i)
-        l_(i, j) = (a(i, j) - tbl.dot(l_.row_ptr(i), lj, j)) * inv;
-    }
-    return ok_;
-  }
+  const simd::KernelTable& tbl = simd::active();
+  // Row-dot form: column j's panel update dots the already computed
+  // leading rows of L, which are contiguous in row-major storage.
   for (std::size_t j = 0; j < n_; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
+    const double* lj = l_.row_ptr(j);
+    const double diag = a(j, j) - tbl.dot(lj, lj, j);
     // Inverted test so a NaN diagonal also fails.
     if (!(diag > 0.0)) {
       ok_ = false;
@@ -143,11 +107,8 @@ bool CholeskyFactorization::factorize(const Matrix& a) {
     }
     l_(j, j) = std::sqrt(diag);
     const double inv = 1.0 / l_(j, j);
-    for (std::size_t i = j + 1; i < n_; ++i) {
-      double acc = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) acc -= l_(i, k) * l_(j, k);
-      l_(i, j) = acc * inv;
-    }
+    for (std::size_t i = j + 1; i < n_; ++i)
+      l_(i, j) = (a(i, j) - tbl.dot(l_.row_ptr(i), lj, j)) * inv;
   }
   return ok_;
 }
@@ -159,35 +120,17 @@ void CholeskyFactorization::solve_into(const Vector& b, Vector& x) const {
     x.resize(n_);
     for (std::size_t i = 0; i < n_; ++i) x[i] = b[i];
   }
-  if (simd::dispatch_enabled()) {
-    const simd::KernelTable& tbl = simd::active();
-    // Forward: L·y = b, each row dots the solved prefix.
-    for (std::size_t i = 0; i < n_; ++i)
-      x[i] = (x[i] - tbl.dot(l_.row_ptr(i), x.ptr(), i)) / l_(i, i);
-    // Backward: Lᵀ·x = y, column-sweep form — one contiguous axpy along
-    // row jj of L per solved component.
-    for (std::size_t jj = n_; jj-- > 0;) {
-      const double xj = x[jj] / l_(jj, jj);
-      x[jj] = xj;
-      if (xj == 0.0) continue;
-      tbl.axpy(-xj, l_.row_ptr(jj), x.ptr(), jj);
-    }
-    return;
-  }
-  // Forward: L·y = b, overwriting x sequentially.
-  for (std::size_t i = 0; i < n_; ++i) {
-    double acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l_(i, j) * x[j];
-    x[i] = acc / l_(i, i);
-  }
-  // Backward: Lᵀ·x = y, column-sweep form — reads *rows* of L, which are
-  // contiguous in row-major storage (the naive gather form strides down a
-  // column per element and defeats the cache).
+  const simd::KernelTable& tbl = simd::active();
+  // Forward: L·y = b, each row dots the solved prefix.
+  for (std::size_t i = 0; i < n_; ++i)
+    x[i] = (x[i] - tbl.dot(l_.row_ptr(i), x.ptr(), i)) / l_(i, i);
+  // Backward: Lᵀ·x = y, column-sweep form — one contiguous axpy along
+  // row jj of L per solved component.
   for (std::size_t jj = n_; jj-- > 0;) {
     const double xj = x[jj] / l_(jj, jj);
     x[jj] = xj;
     if (xj == 0.0) continue;
-    for (std::size_t i = 0; i < jj; ++i) x[i] -= l_(jj, i) * xj;
+    tbl.axpy(-xj, l_.row_ptr(jj), x.ptr(), jj);
   }
 }
 
@@ -195,27 +138,15 @@ void CholeskyFactorization::forward_block_in_place(Matrix& b) const {
   EVC_EXPECT(ok_, "block solve on a failed Cholesky factorization");
   EVC_EXPECT(b.rows() == n_, "Cholesky block solve dimension mismatch");
   const std::size_t k = b.cols();
-  if (simd::dispatch_enabled()) {
-    const simd::KernelTable& tbl = simd::active();
-    for (std::size_t i = 0; i < n_; ++i) {
-      double* bi = b.row_ptr(i);
-      for (std::size_t j = 0; j < i; ++j) {
-        const double lij = l_(i, j);
-        if (lij == 0.0) continue;
-        tbl.axpy(-lij, b.row_ptr(j), bi, k);
-      }
-      tbl.scale(1.0 / l_(i, i), bi, k);
-    }
-    return;
-  }
+  const simd::KernelTable& tbl = simd::active();
   for (std::size_t i = 0; i < n_; ++i) {
+    double* bi = b.row_ptr(i);
     for (std::size_t j = 0; j < i; ++j) {
       const double lij = l_(i, j);
       if (lij == 0.0) continue;
-      for (std::size_t c = 0; c < k; ++c) b(i, c) -= lij * b(j, c);
+      tbl.axpy(-lij, b.row_ptr(j), bi, k);
     }
-    const double inv = 1.0 / l_(i, i);
-    for (std::size_t c = 0; c < k; ++c) b(i, c) *= inv;
+    tbl.scale(1.0 / l_(i, i), bi, k);
   }
 }
 
@@ -223,26 +154,14 @@ void CholeskyFactorization::backward_block_in_place(Matrix& b) const {
   EVC_EXPECT(ok_, "block solve on a failed Cholesky factorization");
   EVC_EXPECT(b.rows() == n_, "Cholesky block solve dimension mismatch");
   const std::size_t k = b.cols();
-  if (simd::dispatch_enabled()) {
-    const simd::KernelTable& tbl = simd::active();
-    for (std::size_t j = n_; j-- > 0;) {
-      double* bj = b.row_ptr(j);
-      tbl.scale(1.0 / l_(j, j), bj, k);
-      for (std::size_t i = 0; i < j; ++i) {
-        const double lji = l_(j, i);
-        if (lji == 0.0) continue;
-        tbl.axpy(-lji, bj, b.row_ptr(i), k);
-      }
-    }
-    return;
-  }
+  const simd::KernelTable& tbl = simd::active();
   for (std::size_t j = n_; j-- > 0;) {
-    const double inv = 1.0 / l_(j, j);
-    for (std::size_t c = 0; c < k; ++c) b(j, c) *= inv;
+    double* bj = b.row_ptr(j);
+    tbl.scale(1.0 / l_(j, j), bj, k);
     for (std::size_t i = 0; i < j; ++i) {
       const double lji = l_(j, i);
       if (lji == 0.0) continue;
-      for (std::size_t c = 0; c < k; ++c) b(i, c) -= lji * b(j, c);
+      tbl.axpy(-lji, bj, b.row_ptr(i), k);
     }
   }
 }

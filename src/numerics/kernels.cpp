@@ -17,15 +17,7 @@ void gemv(double alpha, const Matrix& a, const Vector& x, double beta,
   }
   if (alpha == 0.0) return;
   const std::size_t rows = a.rows(), cols = a.cols();
-  if (simd::dispatch_enabled()) {
-    simd::active().gemv(alpha, a.ptr(), cols, rows, cols, x.ptr(), y.ptr());
-    return;
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) acc += a(i, j) * x[j];
-    y[i] += alpha * acc;
-  }
+  simd::active().gemv(alpha, a.ptr(), cols, rows, cols, x.ptr(), y.ptr());
 }
 
 void gemv_t(double alpha, const Matrix& a, const Vector& x, double beta,
@@ -40,16 +32,7 @@ void gemv_t(double alpha, const Matrix& a, const Vector& x, double beta,
   }
   if (alpha == 0.0) return;
   const std::size_t rows = a.rows(), cols = a.cols();
-  if (simd::dispatch_enabled()) {
-    simd::active().gemv_t(alpha, a.ptr(), cols, rows, cols, x.ptr(), y.ptr());
-    return;
-  }
-  // Row-major: run along rows of A so the inner loop is contiguous.
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double xi = alpha * x[i];
-    if (xi == 0.0) continue;
-    for (std::size_t j = 0; j < cols; ++j) y[j] += a(i, j) * xi;
-  }
+  simd::active().gemv_t(alpha, a.ptr(), cols, rows, cols, x.ptr(), y.ptr());
 }
 
 void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
@@ -65,95 +48,38 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
   }
   if (alpha == 0.0) return;
   const std::size_t rows = a.rows(), inner = a.cols(), cols = b.cols();
-  if (simd::dispatch_enabled()) {
-    simd::active().gemm(alpha, a.ptr(), inner, b.ptr(), cols, c.ptr(), cols,
-                        rows, inner, cols);
-    return;
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t k = 0; k < inner; ++k) {
-      const double aik = alpha * a(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < cols; ++j) c(i, j) += aik * b(k, j);
-    }
-  }
+  simd::active().gemm(alpha, a.ptr(), inner, b.ptr(), cols, c.ptr(), cols,
+                      rows, inner, cols);
 }
 
 void axpy(double alpha, const Vector& x, Vector& y) {
-  if (simd::dispatch_enabled()) {
-    EVC_EXPECT(x.size() == y.size(), "axpy dimension mismatch");
-    simd::active().axpy(alpha, x.ptr(), y.ptr(), y.size());
-    return;
-  }
-  y.add_scaled(alpha, x);
+  EVC_EXPECT(x.size() == y.size(), "axpy dimension mismatch");
+  simd::active().axpy(alpha, x.ptr(), y.ptr(), y.size());
 }
 
 double dot(const Vector& x, const Vector& y) {
   EVC_EXPECT(x.size() == y.size(), "dot dimension mismatch");
-  if (simd::dispatch_enabled())
-    return simd::active().dot(x.ptr(), y.ptr(), x.size());
-  return x.dot(y);
+  return simd::active().dot(x.ptr(), y.ptr(), x.size());
 }
 
 double dot_span(const double* x, const double* y, std::size_t n) {
-  if (simd::dispatch_enabled()) {
-    if (const simd::FixedKernelTable* fixed = simd::fixed_table(n))
-      return fixed->dot(x, y);
-    return simd::active().dot(x, y, n);
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
+  return simd::active().dot(x, y, n);
 }
 
 void axpy_span(double a, const double* x, double* y, std::size_t n) {
-  if (simd::dispatch_enabled()) {
-    if (const simd::FixedKernelTable* fixed = simd::fixed_table(n)) {
-      fixed->axpy(a, x, y);
-      return;
-    }
-    simd::active().axpy(a, x, y, n);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+  simd::active().axpy(a, x, y, n);
 }
 
 void gemv_span(double alpha, const double* a, std::size_t lda,
                std::size_t rows, std::size_t cols, const double* x,
                double* y) {
-  if (simd::dispatch_enabled()) {
-    if (const simd::FixedKernelTable* fixed = simd::fixed_table(cols)) {
-      fixed->gemv(alpha, a, lda, rows, x, y);
-      return;
-    }
-    simd::active().gemv(alpha, a, lda, rows, cols, x, y);
-    return;
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    double acc = 0.0;
-    const double* ai = a + i * lda;
-    for (std::size_t j = 0; j < cols; ++j) acc += ai[j] * x[j];
-    y[i] += alpha * acc;
-  }
+  simd::active().gemv(alpha, a, lda, rows, cols, x, y);
 }
 
 void gemv_t_span(double alpha, const double* a, std::size_t lda,
                  std::size_t rows, std::size_t cols, const double* x,
                  double* y) {
-  if (simd::dispatch_enabled()) {
-    if (const simd::FixedKernelTable* fixed = simd::fixed_table(cols)) {
-      fixed->gemv_t(alpha, a, lda, rows, x, y);
-      return;
-    }
-    simd::active().gemv_t(alpha, a, lda, rows, cols, x, y);
-    return;
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double xi = alpha * x[i];
-    if (xi == 0.0) continue;
-    const double* ai = a + i * lda;
-    for (std::size_t j = 0; j < cols; ++j) y[j] += ai[j] * xi;
-  }
+  simd::active().gemv_t(alpha, a, lda, rows, cols, x, y);
 }
 
 void copy_into(const Vector& src, Vector& dst) {

@@ -7,10 +7,9 @@
 // state. Output buffers are resized to the correct dimension (an allocation
 // only the first time; afterwards the capacity is reused).
 //
-// Execution: when SIMD dispatch is enabled (numerics/simd.hpp — the
-// default), the inner loops run through the runtime-selected vector target
-// using the blocked accumulation order, which is bit-identical across every
-// target. EVC_SIMD=off preserves the legacy sequential loops bit-for-bit.
+// Execution: the inner loops run through the runtime-selected SIMD target
+// (numerics/simd.hpp) using the blocked accumulation order, which is
+// bit-identical across every target.
 //
 // Aliasing: output buffers must not alias any input (the loops read inputs
 // while writing outputs). This is asserted where cheap.
@@ -41,8 +40,7 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
 /// y := α·x + y (same as Vector::add_scaled, in kernel spelling).
 void axpy(double alpha, const Vector& x, Vector& y);
 
-/// Σ x_i·y_i through the dispatched kernel (blocked order when SIMD is on;
-/// Vector::dot's sequential order when off).
+/// Σ x_i·y_i through the dispatched kernel, in blocked order.
 double dot(const Vector& x, const Vector& y);
 
 /// dst := src, reusing dst's backing store when its capacity suffices.
@@ -50,12 +48,7 @@ void copy_into(const Vector& src, Vector& dst);
 void copy_into(const Matrix& src, Matrix& dst);
 
 // Raw-pointer variants for callers that manage their own buffers (the
-// condensed QP backend works on rows of packed workspace matrices). When the
-// length matches a compile-time specialization (simd::fixed_table), the
-// fully unrolled fixed-N kernel runs; otherwise the size-generic dispatched
-// kernel; EVC_SIMD=off keeps plain sequential loops. All three produce the
-// same bits for the dispatched orders; `off` is the legacy sequential order,
-// as everywhere else in this layer.
+// condensed QP backend works on rows of packed workspace matrices).
 
 /// Σ x[i]·y[i] over n elements.
 double dot_span(const double* x, const double* y, std::size_t n);

@@ -42,17 +42,12 @@ const KernelTable* avx2_table() {
   return &table;
 }
 
-const FixedKernelTable* avx2_fixed_table(std::size_t n) {
-  return fixed_table_lookup<PackAvx2>(n);
-}
-
 }  // namespace evc::num::simd
 
 #else  // build without AVX2 support: target not available
 
 namespace evc::num::simd {
 const KernelTable* avx2_table() { return nullptr; }
-const FixedKernelTable* avx2_fixed_table(std::size_t) { return nullptr; }
 }  // namespace evc::num::simd
 
 #endif

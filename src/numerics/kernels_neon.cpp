@@ -48,17 +48,12 @@ const KernelTable* neon_table() {
   return &table;
 }
 
-const FixedKernelTable* neon_fixed_table(std::size_t n) {
-  return fixed_table_lookup<PackNeon>(n);
-}
-
 }  // namespace evc::num::simd
 
 #else  // non-ARM build: target not available
 
 namespace evc::num::simd {
 const KernelTable* neon_table() { return nullptr; }
-const FixedKernelTable* neon_fixed_table(std::size_t) { return nullptr; }
 }  // namespace evc::num::simd
 
 #endif

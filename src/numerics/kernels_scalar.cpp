@@ -37,8 +37,4 @@ const KernelTable* scalar_table() {
   return &table;
 }
 
-const FixedKernelTable* scalar_fixed_table(std::size_t n) {
-  return fixed_table_lookup<PackScalar>(n);
-}
-
 }  // namespace evc::num::simd

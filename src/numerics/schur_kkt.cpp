@@ -37,24 +37,14 @@ bool SchurKktSolver::factorize(const Matrix& k, const Matrix& e) {
   s_.resize(me_, me_);
   for (std::size_t i = 0; i < me_; ++i)
     for (std::size_t j = 0; j < me_; ++j) s_(i, j) = 0.0;
-  if (simd::dispatch_enabled()) {
-    const simd::KernelTable& tbl = simd::active();
-    for (std::size_t c = 0; c < n_; ++c) {
-      const double* yc = wt_.row_ptr(c);
-      for (std::size_t i = 0; i < me_; ++i) {
-        const double yci = yc[i];
-        if (yci == 0.0) continue;
-        // Rank-1 row update along the contiguous tail j ∈ [i, me).
-        tbl.axpy(yci, yc + i, s_.row_ptr(i) + i, me_ - i);
-      }
-    }
-  } else {
-    for (std::size_t c = 0; c < n_; ++c) {
-      for (std::size_t i = 0; i < me_; ++i) {
-        const double yci = wt_(c, i);
-        if (yci == 0.0) continue;
-        for (std::size_t j = i; j < me_; ++j) s_(i, j) += yci * wt_(c, j);
-      }
+  const simd::KernelTable& tbl = simd::active();
+  for (std::size_t c = 0; c < n_; ++c) {
+    const double* yc = wt_.row_ptr(c);
+    for (std::size_t i = 0; i < me_; ++i) {
+      const double yci = yc[i];
+      if (yci == 0.0) continue;
+      // Rank-1 row update along the contiguous tail j ∈ [i, me).
+      tbl.axpy(yci, yc + i, s_.row_ptr(i) + i, me_ - i);
     }
   }
   for (std::size_t i = 0; i < me_; ++i)
@@ -103,19 +93,11 @@ void SchurKktSolver::solve(const Vector& r1, const Vector& r2, Vector& dx,
   // inner loop is contiguous.
   rhs_y_.resize(me_);
   for (std::size_t j = 0; j < me_; ++j) rhs_y_[j] = -r2[j];
-  if (simd::dispatch_enabled()) {
-    const simd::KernelTable& tbl = simd::active();
-    for (std::size_t c = 0; c < n_; ++c) {
-      const double rc = r1[c];
-      if (rc == 0.0) continue;
-      tbl.axpy(rc, wt_.row_ptr(c), rhs_y_.ptr(), me_);
-    }
-  } else {
-    for (std::size_t c = 0; c < n_; ++c) {
-      const double rc = r1[c];
-      if (rc == 0.0) continue;
-      for (std::size_t j = 0; j < me_; ++j) rhs_y_[j] += wt_(c, j) * rc;
-    }
+  const simd::KernelTable& tbl = simd::active();
+  for (std::size_t c = 0; c < n_; ++c) {
+    const double rc = r1[c];
+    if (rc == 0.0) continue;
+    tbl.axpy(rc, wt_.row_ptr(c), rhs_y_.ptr(), me_);
   }
 
   dy.resize(me_);
@@ -126,17 +108,8 @@ void SchurKktSolver::solve(const Vector& r1, const Vector& r2, Vector& dx,
 
   // dx = K⁻¹·(r1 − Eᵀ·dy) = t − (K⁻¹·Eᵀ)·dy — row·vector dots over wt_.
   dx.resize(n_);
-  if (simd::dispatch_enabled()) {
-    const simd::KernelTable& tbl = simd::active();
-    for (std::size_t c = 0; c < n_; ++c)
-      dx[c] = t_[c] - tbl.dot(wt_.row_ptr(c), dy.ptr(), me_);
-  } else {
-    for (std::size_t c = 0; c < n_; ++c) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < me_; ++j) acc += wt_(c, j) * dy[j];
-      dx[c] = t_[c] - acc;
-    }
-  }
+  for (std::size_t c = 0; c < n_; ++c)
+    dx[c] = t_[c] - tbl.dot(wt_.row_ptr(c), dy.ptr(), me_);
 }
 
 std::size_t SchurKktSolver::workspace_bytes() const {

@@ -35,8 +35,8 @@
 // re-triangularizes the trailing block with a rank-one update instead of
 // refactorizing (SchurCholesky below; verified against a from-scratch
 // factorization in tests/dense_active_set_test). The factor of H itself is
-// owned by the *caller* and passed in, so the condensed backend can cache it
-// across solves and across receding-horizon steps.
+// owned by the *caller* and passed in: the condensed backend factors its
+// reduced Hessian once per subproblem, before this solver runs.
 //
 // Failure honesty: a singular Schur append (numerically dependent working
 // rows), a stalled sweep, or the iteration cap all surface as a non-usable
@@ -123,9 +123,9 @@ struct DenseActiveSetOutput {
 class DenseActiveSetSolver {
  public:
   /// Solve min ½vᵀHv + gᵀv s.t. Av ≤ b. `h_chol` is the caller-owned
-  /// Cholesky factor of H (cacheable across solves) and `h` the matrix it
-  /// factors — needed for the final KKT refinement, which polishes away the
-  /// rounding error the incremental dual updates accumulate. `warm_active`
+  /// Cholesky factor of H and `h` the matrix it factors — needed for the
+  /// final KKT refinement, which polishes away the rounding error the
+  /// incremental dual updates accumulate. `warm_active`
   /// seeds the working set (ascending constraint indices — typically the
   /// support of the previous solve's multipliers) and may be empty for a
   /// cold start. On success `v` holds the primal solution and `lambda` the

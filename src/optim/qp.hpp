@@ -111,12 +111,13 @@ struct QpPerfCounters {
   std::size_t warm_starts = 0;         ///< solves seeded from a warm start
   std::size_t workspace_growths = 0;   ///< solves that grew any buffer
   std::size_t peak_workspace_bytes = 0;
-  // Condensed-backend counters (optim/condensed_qp). A condensed solve is
-  // exactly one of: a rebuild (counted in condense_rebuilds *and*
-  // factorizations — it factors the reduced Hessian) or a cached-factor
-  // reuse (counted in warm_starts when seeded) — never both.
+  // Condensed-backend counters (optim/condensed_qp). The condensed path
+  // keeps no state across solves: every subproblem it condenses counts once
+  // in condense_rebuilds and once in factorizations (it factors the reduced
+  // Hessian), and a solve seeded with a previous working set also counts in
+  // warm_starts.
   std::size_t condensed_solves = 0;    ///< solves taken by the condensed path
-  std::size_t condense_rebuilds = 0;   ///< prediction-matrix cache rebuilds
+  std::size_t condense_rebuilds = 0;   ///< subproblems condensed
   std::size_t active_set_changes = 0;  ///< working-set adds+drops, all solves
   // Wall-time attribution, so `timeouts` has a matching time axis and the
   // MPC layer can report where its solve budget actually went.

@@ -1,6 +1,9 @@
 // Dense active-set solver: agreement with the interior-point reference on
 // randomized QPs, warm-start behaviour, and the incremental Schur-Cholesky
 // up/downdates against a from-scratch factorization.
+//
+// The cross-validation sweeps pit two independent methods against each
+// other, which catches solver bugs that KKT-residual checks alone can miss.
 #include "optim/dense_active_set.hpp"
 
 #include <gtest/gtest.h>
@@ -189,6 +192,57 @@ TEST(DenseActiveSetTest, MatchesInteriorPointOnRandomQps) {
           << "seed " << seed << " row " << i;
   }
 }
+
+// Small problems (n = 2..7, up to 2n rows) reach the degenerate vertices the
+// larger sweep above rarely hits.
+class SolverCrossValidation : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverCrossValidation, MatchesInteriorPointOptimum) {
+  SplitMix64 rng(static_cast<std::uint64_t>(GetParam()) * 613 + 29);
+  const std::size_t n = 2 + rng.next_u64() % 6;
+  const std::size_t mi = 1 + rng.next_u64() % (2 * n);
+
+  opt::QpProblem p;
+  num::Matrix g(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1, 1);
+  p.h = g.transposed() * g;
+  for (std::size_t i = 0; i < n; ++i) p.h(i, i) += 1.0;
+  p.g = num::Vector(n);
+  for (std::size_t i = 0; i < n; ++i) p.g[i] = rng.uniform(-2, 2);
+  p.e_mat = num::Matrix(0, n);
+  p.e_vec = num::Vector(0);
+
+  // Constraints built around a random point so the problem is feasible.
+  num::Vector xf(n);
+  for (std::size_t i = 0; i < n; ++i) xf[i] = rng.uniform(-1, 1);
+  p.a_mat = num::Matrix(mi, n);
+  p.b_vec = num::Vector(mi);
+  for (std::size_t r = 0; r < mi; ++r) {
+    for (std::size_t c = 0; c < n; ++c) p.a_mat(r, c) = rng.uniform(-1, 1);
+    p.b_vec[r] = p.a_mat.row(r).dot(xf) + rng.uniform(0.1, 2.0);
+  }
+
+  const opt::QpResult ip = opt::solve_qp(p);
+  ASSERT_EQ(ip.status, opt::QpStatus::kSolved) << "seed " << GetParam();
+  num::CholeskyFactorization h_chol;
+  ASSERT_TRUE(h_chol.factorize(p.h));
+  opt::DenseActiveSetSolver solver;
+  num::Vector v, lambda;
+  const auto as = solver.solve(h_chol, p.h, p.a_mat, p.g, p.b_vec, {}, {}, v,
+                               lambda);
+  ASSERT_TRUE(as.usable()) << "seed " << GetParam();
+
+  // Strictly convex → unique optimum: both solvers must agree.
+  const double objective = 0.5 * v.dot(p.h * v) + p.g.dot(v);
+  EXPECT_NEAR(objective, ip.objective, 1e-5 * (1.0 + std::abs(ip.objective)))
+      << "seed " << GetParam();
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(v[i], ip.x[i], 1e-4) << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SolverCrossValidation,
+                         ::testing::Range(0, 40));
 
 TEST(DenseActiveSetTest, WarmStartConfirmsInOneSweep) {
   const std::size_t n = 10, m = 20;

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "optim/qp.hpp"
+#include "qp_kkt_certificate.hpp"
 #include "util/random.hpp"
 
 namespace evc::opt {
@@ -194,23 +195,7 @@ TEST_P(QpKktProperty, KktConditionsHold) {
 
   const QpResult r = solve_qp(p);
   ASSERT_EQ(r.status, QpStatus::kSolved) << "seed " << GetParam();
-
-  // Primal feasibility.
-  if (me > 0) {
-    EXPECT_LT((p.e_mat * r.x - p.e_vec).norm_inf(), 1e-6);
-  }
-  const Vector ax = p.a_mat * r.x;
-  for (std::size_t i = 0; i < mi; ++i) EXPECT_LT(ax[i] - p.b_vec[i], 1e-6);
-  // Dual feasibility.
-  for (std::size_t i = 0; i < mi; ++i) EXPECT_GT(r.z_ineq[i], -1e-8);
-  // Stationarity.
-  Vector stat = p.h * r.x + p.g;
-  if (me > 0) stat += p.e_mat.transpose_times(r.y_eq);
-  stat += p.a_mat.transpose_times(r.z_ineq);
-  EXPECT_LT(stat.norm_inf(), 1e-5);
-  // Complementary slackness.
-  for (std::size_t i = 0; i < mi; ++i)
-    EXPECT_LT(std::abs(r.z_ineq[i] * (p.b_vec[i] - ax[i])), 1e-5);
+  expect_kkt_certificate(p, r);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QpKktProperty, ::testing::Range(0, 40));
