@@ -424,10 +424,10 @@ StepResult SessionService::execute(Shard& shard, const Request& request) {
     }
   }
 
-  // Per-vehicle deterministic initial conditions (same idiom as
-  // rt::FleetEngine): keyed by vehicle id only, never by shard or thread,
-  // so a killed-and-restarted service recreates the identical step-0
-  // state — that is what makes "never persisted" recoverable.
+  // Per-vehicle deterministic initial conditions. The stream is keyed by
+  // vehicle id only, never by shard or thread, so a killed-and-restarted
+  // service recreates the identical step-0 state. That is what makes
+  // "never persisted" recoverable.
   SplitMix64 rng(options_.seed +
                  0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(vehicle));
   core::SimulationOptions sim_opts;

@@ -126,8 +126,8 @@ struct ServiceOptions {
   /// Base delay between storage retries (s), doubled per attempt;
   /// 0 = retry immediately. Applies to both evict and restore retries.
   double io_backoff_s = 0.0005;
-  /// Seed of the per-vehicle initial-condition stream (same idiom as
-  /// rt::FleetEngine: keyed by vehicle id only, never by shard/thread).
+  /// Seed of the per-vehicle initial-condition stream (keyed by vehicle
+  /// id only, never by shard or thread, so restarts are deterministic).
   std::uint64_t seed = 2024;
   double min_initial_soc_percent = 60.0;
   double max_initial_soc_percent = 95.0;

@@ -1,10 +1,9 @@
-// Tests for the battery extensions: ultracapacitor, HESS power split,
-// pack thermal model with Arrhenius fade, and the CC-CV charger.
+// Tests for the battery extensions: ultracapacitor, HESS power split, and
+// pack thermal model with Arrhenius fade.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "battery/charger.hpp"
 #include "battery/hess.hpp"
 #include "battery/thermal_model.hpp"
 #include "util/random.hpp"
@@ -175,50 +174,6 @@ TEST(BatteryThermal, TemperatureAwareSohScalesFade) {
               1e-12);
   EXPECT_GT(delta_soh_at_temperature(soh, thermal, stress, 40.0), base);
   EXPECT_LT(delta_soh_at_temperature(soh, thermal, stress, 5.0), base);
-}
-
-// --- CC-CV charger ---
-
-TEST(Charger, ChargesToNearFull) {
-  BatteryPack pack(leaf_24kwh_params(), 40.0);
-  const ChargeResult r = simulate_cc_cv_charge(pack);
-  EXPECT_GT(r.final_soc_percent, 95.0);
-  EXPECT_GT(r.duration_s, 3600.0);  // ≈C/4 charging takes hours
-  EXPECT_LT(r.duration_s, 12.0 * 3600.0);
-}
-
-TEST(Charger, SocTraceIsMonotoneNondecreasing) {
-  BatteryPack pack(leaf_24kwh_params(), 60.0);
-  const ChargeResult r = simulate_cc_cv_charge(pack);
-  for (std::size_t i = 1; i < r.soc_trace.size(); ++i)
-    EXPECT_GE(r.soc_trace[i], r.soc_trace[i - 1] - 1e-9);
-}
-
-TEST(Charger, CvPhaseTapersCurrent) {
-  // Starting nearly full, the charge goes straight to CV and finishes
-  // quickly with little SoC movement.
-  BatteryPack pack(leaf_24kwh_params(), 97.0);
-  ChargerParams charger;
-  const ChargeResult r = simulate_cc_cv_charge(pack, charger);
-  EXPECT_LT(r.duration_s, 3.0 * 3600.0);
-}
-
-TEST(Charger, StressConstantsAreConsistentWithDefaults) {
-  // The fixed charging-phase constants in BatteryParams (dev ≈ 4 %,
-  // avg ≈ 70 %) should be the right ballpark for a typical trip-end SoC.
-  BatteryPack pack(leaf_24kwh_params(), 55.0);
-  const ChargeResult r = simulate_cc_cv_charge(pack);
-  const BatteryParams defaults = leaf_24kwh_params();
-  EXPECT_NEAR(r.stress.soc_deviation, defaults.charge_phase_dev_percent,
-              10.0);
-  EXPECT_NEAR(r.stress.soc_average, defaults.charge_phase_avg_percent, 15.0);
-}
-
-TEST(Charger, RejectsBadConfig) {
-  ChargerParams charger;
-  charger.cutoff_current_a = 50.0;  // above CC current
-  BatteryPack pack(leaf_24kwh_params(), 50.0);
-  EXPECT_THROW(simulate_cc_cv_charge(pack, charger), std::invalid_argument);
 }
 
 }  // namespace

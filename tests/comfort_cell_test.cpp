@@ -1,10 +1,9 @@
-// Tests for the Fanger comfort model and the multi-cell pack with passive
-// balancing.
+// Tests for the Fanger PMV/PPD comfort model and the comfort band derived
+// from it.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "battery/multi_cell.hpp"
 #include "hvac/comfort.hpp"
 
 namespace evc {
@@ -78,80 +77,6 @@ TEST(Comfort, RejectsBadInputs) {
   c = hvac::ComfortConditions{};
   c.metabolic_rate_met = 0.0;
   EXPECT_THROW(hvac::predicted_mean_vote(c), std::invalid_argument);
-}
-
-// --- Multi-cell pack ---
-
-bat::MultiCellPack make_pack(double soc = 80.0, std::uint64_t seed = 3) {
-  bat::CellSpread spread;
-  spread.seed = seed;
-  return bat::MultiCellPack(bat::leaf_24kwh_params(), 96, spread,
-                            bat::BalancerParams{}, soc);
-}
-
-TEST(MultiCell, StartsBalanced) {
-  const auto pack = make_pack();
-  EXPECT_NEAR(pack.imbalance(), 0.0, 1e-12);
-  EXPECT_EQ(pack.num_cells(), 96u);
-}
-
-TEST(MultiCell, CapacitySpreadCreatesImbalanceUnderLoad) {
-  auto pack = make_pack();
-  for (int t = 0; t < 1800; ++t) pack.step_current(40.0, 1.0);
-  // Smaller cells discharge faster (percent-wise) than larger ones.
-  EXPECT_GT(pack.imbalance(), 0.5);
-  EXPECT_LT(pack.imbalance(), 10.0);
-}
-
-TEST(MultiCell, WeakestCellLimitsTheString) {
-  auto pack = make_pack(10.0);
-  double min_soc = 100.0;
-  for (int t = 0; t < 3600 && min_soc > 0.0; ++t)
-    min_soc = pack.step_current(40.0, 1.0);
-  EXPECT_DOUBLE_EQ(pack.min_cell_soc(), 0.0);
-  // Other cells still hold charge when the weakest is empty.
-  EXPECT_GT(pack.max_cell_soc(), 0.5);
-}
-
-TEST(MultiCell, PassiveBalancerReconverges) {
-  auto pack = make_pack();
-  for (int t = 0; t < 1800; ++t) pack.step_current(40.0, 1.0);
-  const double imbalance_before = pack.imbalance();
-  double dissipated = 0.0;
-  for (int t = 0; t < 7200; ++t) dissipated += pack.balance(10.0);
-  EXPECT_LT(pack.imbalance(), imbalance_before * 0.5);
-  EXPECT_LE(pack.imbalance(),
-            bat::BalancerParams{}.threshold_percent + 0.6);
-  EXPECT_GT(dissipated, 0.0);  // passive balancing burns energy
-}
-
-TEST(MultiCell, BalancerIdlesWhenBalanced) {
-  auto pack = make_pack();
-  EXPECT_DOUBLE_EQ(pack.balance(60.0), 0.0);
-  EXPECT_NEAR(pack.imbalance(), 0.0, 1e-12);
-}
-
-TEST(MultiCell, ChargingRaisesAllCells) {
-  auto pack = make_pack(50.0);
-  pack.step_current(-30.0, 60.0);
-  EXPECT_GT(pack.min_cell_soc(), 50.0);
-}
-
-TEST(MultiCell, TerminalVoltageSagsWithCurrent) {
-  const auto pack = make_pack();
-  EXPECT_LT(pack.terminal_voltage(100.0), pack.terminal_voltage(0.0));
-  EXPECT_GT(pack.terminal_voltage(-50.0), pack.terminal_voltage(0.0));
-}
-
-TEST(MultiCell, RejectsBadConfig) {
-  EXPECT_THROW(bat::MultiCellPack(bat::leaf_24kwh_params(), 1,
-                                  bat::CellSpread{}, bat::BalancerParams{},
-                                  80.0),
-               std::invalid_argument);
-  EXPECT_THROW(bat::MultiCellPack(bat::leaf_24kwh_params(), 96,
-                                  bat::CellSpread{}, bat::BalancerParams{},
-                                  120.0),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Cross-module integration tests: trip planner over extended cycles and
-// traffic, the ICE model's ambient monotonicity, the multi-zone supervisor
-// driven by the battery lifetime-aware MPC, and JSON export of a real run.
+// traffic, the ICE model's ambient monotonicity, and JSON export of a real
+// run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "core/experiment.hpp"
 #include "core/ice_model.hpp"
 #include "core/metrics_json.hpp"
-#include "core/multizone_control.hpp"
 #include "core/trip_planner.hpp"
 #include "drivecycle/standard_cycles.hpp"
 #include "drivecycle/traffic.hpp"
@@ -56,46 +55,6 @@ TEST(Integration, IceHvacShareGrowsWithHeat) {
     EXPECT_GT(share, prev) << "ambient " << ambient;
     prev = share;
   }
-}
-
-TEST(Integration, SupervisedMpcControlsTwoZones) {
-  // The paper's controller as the supply stage of the two-zone cabin: the
-  // hierarchical composition must hold both rows in comfort on a short
-  // hot-weather run.
-  const EvParams params;
-  hvac::MultiZoneParams zones;
-  zones.base = params.hvac;
-  hvac::MultiZonePlant plant(zones, {26.5, 26.5});
-  MultiZoneSupervisor supervisor(make_mpc_controller(params), zones);
-
-  const auto profile =
-      drive::make_cycle_profile(drive::StandardCycle::kEceEudc, 38.0)
-          .window(0, 240);
-  // Forecast plumbing as in ClimateSimulation.
-  pt::PowerTrain ptrain(params.vehicle);
-  std::vector<double> motor(profile.size());
-  for (std::size_t i = 0; i < profile.size(); ++i)
-    motor[i] = ptrain.power(profile[i]).electrical_power_w;
-
-  for (std::size_t t = 0; t < profile.size(); ++t) {
-    ctl::ControlContext c;
-    c.time_s = static_cast<double>(t);
-    c.dt_s = 1.0;
-    c.outside_temp_c = profile[t].ambient_c;
-    c.soc_percent = 90.0;
-    c.motor_power_forecast_w.assign(120, 0.0);
-    c.outside_temp_forecast_c.assign(120, profile[t].ambient_c);
-    for (std::size_t j = 0; j < 120; ++j)
-      c.motor_power_forecast_w[j] =
-          motor[std::min(t + j, profile.size() - 1)];
-    supervisor.step(plant, c, 1.0);
-  }
-  const auto& temps = plant.zone_temps_c();
-  for (double tz : temps) {
-    EXPECT_GT(tz, params.hvac.comfort_min_c - 0.5);
-    EXPECT_LT(tz, params.hvac.comfort_max_c + 0.5);
-  }
-  EXPECT_LT(std::abs(temps[0] - temps[1]), 1.5);
 }
 
 TEST(Integration, JsonExportOfRealComparison) {

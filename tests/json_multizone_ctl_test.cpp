@@ -1,11 +1,10 @@
-// Tests for the JSON writer, metrics export, the extended drive cycles,
-// and the hierarchical multi-zone supervisor.
+// Tests for the JSON writer, metrics export, and the extended drive
+// cycles.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/metrics_json.hpp"
-#include "core/multizone_control.hpp"
 #include "drivecycle/standard_cycles.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
@@ -120,61 +119,6 @@ TEST(ExtendedCycles, Jc08HasSubstantialIdleShare) {
   const double share = static_cast<double>(idle) / p.size();
   EXPECT_GT(share, 0.20);
   EXPECT_LT(share, 0.45);
-}
-
-// --- Multi-zone supervisor ---
-
-TEST(MultiZoneSupervisor, SplitFavorsTheNeedyZone) {
-  core::MultiZoneSupervisor supervisor(
-      core::make_fuzzy_controller(core::EvParams{}),
-      hvac::MultiZoneParams{});
-  // Cooling supply (10 °C): the hotter zone benefits more.
-  const auto split = supervisor.compute_split({27.0, 24.5}, 24.0, 10.0);
-  ASSERT_EQ(split.size(), 2u);
-  EXPECT_GT(split[0], split[1]);
-  EXPECT_NEAR(split[0] + split[1], 1.0, 1e-12);
-  // Heating supply (50 °C) with a cold zone 1: zone 1 gets the flow.
-  const auto heat_split = supervisor.compute_split({24.5, 21.0}, 24.0, 50.0);
-  EXPECT_GT(heat_split[1], heat_split[0]);
-}
-
-TEST(MultiZoneSupervisor, RespectsShareFloor) {
-  core::ZoneSplitOptions opts;
-  opts.min_share = 0.2;
-  opts.gain = 5.0;  // extreme gain would otherwise starve a zone
-  core::MultiZoneSupervisor supervisor(
-      core::make_fuzzy_controller(core::EvParams{}),
-      hvac::MultiZoneParams{}, opts);
-  const auto split = supervisor.compute_split({30.0, 24.0}, 24.0, 5.0);
-  EXPECT_GE(split[1], 0.2 - 1e-12);
-}
-
-TEST(MultiZoneSupervisor, ClosedLoopBalancesAsymmetricZones) {
-  const hvac::MultiZoneParams params;  // asymmetric front/rear defaults
-  hvac::MultiZonePlant plant(params, {27.0, 27.0});
-  core::MultiZoneSupervisor supervisor(
-      core::make_fuzzy_controller(core::EvParams{}), params);
-  ctl::ControlContext c;
-  c.dt_s = 1.0;
-  c.outside_temp_c = 38.0;
-  for (int t = 0; t < 1800; ++t) supervisor.step(plant, c, 1.0);
-  const auto& temps = plant.zone_temps_c();
-  // The adaptive split holds both zones close to target — tighter than the
-  // fixed uniform split manages (~1 K+ spread at these asymmetries).
-  EXPECT_NEAR(plant.mean_cabin_temp_c(), params.base.target_temp_c, 1.0);
-  EXPECT_LT(std::abs(temps[0] - temps[1]), 1.0);
-  ASSERT_EQ(supervisor.last_split().size(), 2u);
-}
-
-TEST(MultiZoneSupervisor, RejectsBadConfig) {
-  EXPECT_THROW(core::MultiZoneSupervisor(nullptr, hvac::MultiZoneParams{}),
-               std::invalid_argument);
-  core::ZoneSplitOptions opts;
-  opts.min_share = 0.6;  // 2 zones × 0.6 > 1
-  EXPECT_THROW(
-      core::MultiZoneSupervisor(core::make_fuzzy_controller(core::EvParams{}),
-                                hvac::MultiZoneParams{}, opts),
-      std::invalid_argument);
 }
 
 }  // namespace
