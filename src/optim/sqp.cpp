@@ -158,8 +158,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
 
   // Dual seed for the first QP subproblem (receding-horizon warm start).
   bool have_qp_warm = false;
-  if (options_.warm_start_duals && warm != nullptr &&
-      warm->y_eq.size() == problem.num_eq() &&
+  if (warm != nullptr && warm->y_eq.size() == problem.num_eq() &&
       warm->z_ineq.size() == b_vec.size()) {
     num::copy_into(warm->y_eq, qp_warm_.y_eq);
     num::copy_into(warm->z_ineq, qp_warm_.z_ineq);
@@ -210,9 +209,10 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
 
     // The QP decision variable is the *step*, so the primal seed is zero;
     // the multipliers of the previous subproblem (or receding-horizon
-    // predecessor) seed the interior-point duals.
+    // predecessor) seed the duals: the condensed active set starts from
+    // their support, the interior-point fallback from their values.
     const QpWarmStart* qp_seed = nullptr;
-    if (options_.warm_start_duals && have_qp_warm) {
+    if (have_qp_warm) {
       qp_warm_.x.assign(n, 0.0);
       qp_seed = &qp_warm_;
     }

@@ -49,10 +49,6 @@ struct SqpOptions {
   double initial_penalty = 10.0;       ///< ν for the ℓ1 merit
   double hessian_regularization = 1e-8;
   std::size_t max_line_search_steps = 25;
-  /// Seed each QP subproblem's interior-point iteration with the previous
-  /// subproblem's multipliers (and an externally provided SqpWarmStart for
-  /// the first one). Off reproduces fully cold QP solves.
-  bool warm_start_duals = true;
   /// Second-order correction against the Maratos effect: when the full QP
   /// step is rejected by the merit test — or accepted without shrinking the
   /// equality violation, the zigzag variant of the same pathology — solve
