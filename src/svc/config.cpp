@@ -9,6 +9,9 @@ namespace evc::svc {
 
 namespace {
 
+/// Config spellings of SyncPolicy, indexed by its value.
+constexpr const char* kSyncNames[] = {"always", "batched", "never"};
+
 [[noreturn]] void bad_key(const std::string& key, const std::string& why) {
   throw std::invalid_argument("service config: key \"" + key + "\" " + why);
 }
@@ -33,10 +36,8 @@ double nonneg_field(const std::string& key, const JsonValue& value) {
 
 SyncPolicy sync_field(const std::string& key, const JsonValue& value) {
   if (!value.is_string()) bad_key(key, "must be a string");
-  const std::string& name = value.as_string();
-  if (name == "always") return SyncPolicy::kAlways;
-  if (name == "batched") return SyncPolicy::kBatched;
-  if (name == "never") return SyncPolicy::kNever;
+  for (std::size_t i = 0; i < std::size(kSyncNames); ++i)
+    if (value.as_string() == kSyncNames[i]) return static_cast<SyncPolicy>(i);
   bad_key(key, "must be one of always|batched|never");
 }
 
@@ -100,6 +101,10 @@ void apply_slo(ServiceSloOptions& slo, const JsonValue& object) {
 }
 
 }  // namespace
+
+const char* to_string(SyncPolicy policy) {
+  return kSyncNames[static_cast<std::size_t>(policy)];
+}
 
 void apply_service_config_json(ServiceOptions& options,
                                const std::string& json_text) {

@@ -32,4 +32,7 @@ namespace evc::svc {
 void apply_service_config_json(ServiceOptions& options,
                                const std::string& json_text);
 
+/// The config spelling of a sync policy: "always", "batched" or "never".
+const char* to_string(SyncPolicy policy);
+
 }  // namespace evc::svc

@@ -454,6 +454,14 @@ TEST(ServiceConfig, OverlaysOnlyTheKeysPresent) {
   // Untouched keys keep their prior values.
   EXPECT_EQ(opts.ewma_alpha, 0.2);
   EXPECT_EQ(opts.retry_after_s, 0.005);
+  // Each policy's printed name parses back to that policy.
+  for (const SyncPolicy policy :
+       {SyncPolicy::kAlways, SyncPolicy::kBatched, SyncPolicy::kNever}) {
+    svc::apply_service_config_json(
+        opts, std::string(R"({"store": {"sync": ")") +
+                  svc::to_string(policy) + R"("}})");
+    EXPECT_EQ(opts.store.sync, policy) << svc::to_string(policy);
+  }
 }
 
 TEST(ServiceConfig, OverlaysSloAndFlightDumpKeys) {
