@@ -89,6 +89,7 @@ void write_counters(JsonWriter& json, const opt::QpPerfCounters& c) {
   json.key("condensed_solves").value(c.condensed_solves);
   json.key("condense_rebuilds").value(c.condense_rebuilds);
   json.key("active_set_changes").value(c.active_set_changes);
+  json.key("condensed_fallbacks").value(c.condensed_fallbacks);
   json.key("solve_time_ns").value(c.solve_time_ns);
   json.key("factorize_time_ns").value(c.factorize_time_ns);
   json.key("timeout_time_ns").value(c.timeout_time_ns);
@@ -160,7 +161,8 @@ int main(int argc, char** argv) {
     std::cerr << "  qp_dense_n60_workspace done\n";
   }
 
-  // SQP on one MPC window, duals chained across solves.
+  // SQP on one MPC window, the whole warm start (multipliers and working
+  // set) chained across solves.
   {
     const auto f = make_window_formulation(12);
     core::MpcOptions opts;
@@ -175,6 +177,7 @@ int main(int argc, char** argv) {
       if (!result.usable()) return 1;
       warm.y_eq = result.y_eq;
       warm.z_ineq = result.z_ineq;
+      warm.active_ineq = result.active_ineq;
     }
     write_bench_header(json, "sqp_mpc_window_h12", reps, ns_since(start));
     json.key("solver");

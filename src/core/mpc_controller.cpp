@@ -27,6 +27,7 @@ void MpcClimateController::reset() {
   last_solution_.reset();
   last_duals_.y_eq.assign(0, 0.0);
   last_duals_.z_ineq.assign(0, 0.0);
+  last_duals_.active_ineq.clear();
   held_input_.reset();
   next_plan_time_s_ = 0.0;
   planned_soc_.clear();
@@ -103,10 +104,44 @@ MpcWindowData MpcClimateController::make_window(
   return window;
 }
 
-num::Vector MpcClimateController::warm_start(
+namespace {
+
+// The dual seed moved one stage forward with the primal: each stage's
+// inequality rows take the next stage's multipliers and working-set
+// membership, the first stage's drop out, and the last stage keeps its own.
+// The equality multipliers stay as they are.
+opt::SqpWarmStart shift_duals(const opt::SqpWarmStart& prev,
+                              const MpcIndex& idx) {
+  const std::size_t rows = idx.num_ineq();
+  const std::size_t per_stage = rows / idx.horizon();
+  const std::size_t last_stage = rows - per_stage;
+  opt::SqpWarmStart out;
+  out.y_eq = prev.y_eq;
+  if (prev.z_ineq.size() == rows) {
+    out.z_ineq = num::Vector(rows);
+    for (std::size_t i = 0; i < last_stage; ++i)
+      out.z_ineq[i] = prev.z_ineq[i + per_stage];
+    for (std::size_t i = last_stage; i < rows; ++i)
+      out.z_ineq[i] = prev.z_ineq[i];
+  } else {
+    out.z_ineq = prev.z_ineq;
+  }
+  // Ascending in, ascending out: the shifted rows all lie below
+  // last_stage, the repeated ones at or above it.
+  for (const std::size_t i : prev.active_ineq)
+    if (i >= per_stage && i < rows) out.active_ineq.push_back(i - per_stage);
+  for (const std::size_t i : prev.active_ineq)
+    if (i >= last_stage && i < rows) out.active_ineq.push_back(i);
+  return out;
+}
+
+}  // namespace
+
+MpcWarmStart MpcClimateController::warm_start(
     const MpcFormulation& formulation) const {
   const num::Vector cold = formulation.cold_start();
-  if (!last_solution_ || last_solution_->size() != cold.size()) return cold;
+  if (!last_solution_ || last_solution_->size() != cold.size())
+    return {cold, last_duals_};
 
   const MpcIndex& idx = formulation.index();
   const std::size_t n = idx.horizon();
@@ -129,7 +164,7 @@ num::Vector MpcClimateController::warm_start(
   const double err_hold =
       std::abs(window.initial_cabin_temp_c - prev[idx.x(0)]) / temp_scale +
       std::abs(window.initial_soc_percent - prev[idx.soc(0)]) / soc_scale;
-  if (err_hold < err_shift) return prev;
+  if (err_hold < err_shift) return {prev, last_duals_};
 
   // Shift the previous plan one step forward; duplicate the tail.
   num::Vector z = prev;
@@ -149,7 +184,7 @@ num::Vector MpcClimateController::warm_start(
   }
   z[idx.x(n)] = prev[idx.x(n)];
   z[idx.soc(n)] = prev[idx.soc(n)];
-  return z;
+  return {z, shift_duals(last_duals_, idx)};
 }
 
 hvac::HvacInputs MpcClimateController::fallback_inputs(
@@ -197,17 +232,16 @@ hvac::HvacInputs MpcClimateController::decide(
 
   const MpcWindowData window = make_window(context);
   MpcFormulation formulation(hvac_, battery_, options_.weights, window);
-  const num::Vector z0 = warm_start(formulation);
+  const MpcWarmStart seed = warm_start(formulation);
 
   ++stats_.plans;
-  // Previous plan's QP multipliers seed the first subproblem's duals; the
-  // primal shift above already seeds the iterate. Stale duals (after a
-  // failed plan) are empty and degrade to a cold start.
-  const opt::SqpWarmStart* duals =
-      last_duals_.empty() ? nullptr : &last_duals_;
+  // Previous plan's QP multipliers and working set, aligned with the primal
+  // seed, seed the first subproblem. Stale duals (after a failed plan) are
+  // empty and degrade to a cold start.
+  const opt::SqpWarmStart* duals = seed.duals.empty() ? nullptr : &seed.duals;
   if (duals != nullptr) ++stats_.dual_warm_starts;
   const auto t0 = std::chrono::steady_clock::now();
-  const opt::SqpResult result = solver_.solve(formulation, z0, duals);
+  const opt::SqpResult result = solver_.solve(formulation, seed.x, duals);
   const auto t1 = std::chrono::steady_clock::now();
   last_step_solve_ns_ = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
@@ -221,6 +255,9 @@ hvac::HvacInputs MpcClimateController::decide(
   stats_.solver = solver_.qp_counters();
   stats_.solver_workspace_bytes = solver_.workspace_bytes();
   plan_span.arg("sqp_iterations", static_cast<double>(result.iterations));
+  plan_span.arg("qp_fallbacks",
+                static_cast<double>(stats_.solver.condensed_fallbacks -
+                                    prev_counters.condensed_fallbacks));
   obs::MetricsRegistry::global().add(metric_ids.plans);
   obs::MetricsRegistry::global().observe(metric_ids.solve_ns,
                                          last_step_solve_ns_);
@@ -298,6 +335,7 @@ hvac::HvacInputs MpcClimateController::decide(
     last_solution_ = result.x;
     last_duals_.y_eq = result.y_eq;
     last_duals_.z_ineq = result.z_ineq;
+    last_duals_.active_ineq = result.active_ineq;
     planned_soc_.assign(idx.horizon() + 1, 0.0);
     for (std::size_t k = 0; k <= idx.horizon(); ++k)
       planned_soc_[k] = result.x[idx.soc(k)];
@@ -308,6 +346,7 @@ hvac::HvacInputs MpcClimateController::decide(
     last_solution_.reset();  // stale plans make poor warm starts
     last_duals_.y_eq.assign(0, 0.0);
     last_duals_.z_ineq.assign(0, 0.0);
+    last_duals_.active_ineq.clear();
   }
   last_plan_applied_ = accept;
 
@@ -348,6 +387,7 @@ void save_qp_counters(BinaryWriter& w, const opt::QpPerfCounters& c) {
   w.write_size(c.condensed_solves);
   w.write_size(c.condense_rebuilds);
   w.write_size(c.active_set_changes);
+  w.write_size(c.condensed_fallbacks);
   w.write_u64(c.solve_time_ns);
   w.write_u64(c.factorize_time_ns);
   w.write_u64(c.timeout_time_ns);
@@ -368,6 +408,7 @@ opt::QpPerfCounters load_qp_counters(BinaryReader& r) {
   c.condensed_solves = r.read_size();
   c.condense_rebuilds = r.read_size();
   c.active_set_changes = r.read_size();
+  c.condensed_fallbacks = r.read_size();
   c.solve_time_ns = r.read_u64();
   c.factorize_time_ns = r.read_u64();
   c.timeout_time_ns = r.read_u64();
@@ -383,6 +424,7 @@ void MpcClimateController::save_state(BinaryWriter& writer) const {
     writer.write_f64_seq(last_solution_->ptr(), last_solution_->size());
   writer.write_f64_seq(last_duals_.y_eq.ptr(), last_duals_.y_eq.size());
   writer.write_f64_seq(last_duals_.z_ineq.ptr(), last_duals_.z_ineq.size());
+  writer.write_size_vec(last_duals_.active_ineq);
   writer.write_bool(held_input_.has_value());
   if (held_input_) save_hvac_inputs(writer, *held_input_);
   writer.write_f64(next_plan_time_s_);
@@ -417,6 +459,7 @@ void MpcClimateController::load_state(BinaryReader& reader) {
   }
   last_duals_.y_eq = num::Vector(reader.read_f64_vec());
   last_duals_.z_ineq = num::Vector(reader.read_f64_vec());
+  last_duals_.active_ineq = reader.read_size_vec();
   if (reader.read_bool()) {
     held_input_ = load_hvac_inputs(reader);
   } else {

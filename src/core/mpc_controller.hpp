@@ -5,9 +5,11 @@
 //      the MPC's coarser step (Algorithm 1 lines 14–15),
 //   2. assembles the bilinear optimal-control problem (MpcFormulation),
 //   3. solves it with SQP, warm-started from the previous plan shifted by
-//      one step (line 16) and from the previous plan's QP multipliers
-//      (the constraint structure is identical across receding-horizon
-//      steps, so the duals transfer directly),
+//      one step (line 16) and from the previous plan's QP multipliers and
+//      final working set, shifted by the same stage (the constraint
+//      structure is identical across receding-horizon steps, so each
+//      stage's inequality rows inherit the next stage's multipliers and
+//      working-set membership; the last stage repeats its own),
 //   4. applies the first input of the optimal plan (line 18).
 // Between planning instants the last applied input is held (zero-order
 // hold), which is what makes the controller real-time viable.
@@ -55,6 +57,14 @@ struct MpcOptions {
   }
 };
 
+/// Where a plan's SQP starts: the primal iterate and the dual seed for its
+/// first QP subproblem (multipliers and working set), aligned to the same
+/// window.
+struct MpcWarmStart {
+  num::Vector x;
+  opt::SqpWarmStart duals;
+};
+
 /// Planning telemetry for tests/benches. `solver` aggregates the QP
 /// workspace's perf counters (interior-point iterations, factorizations,
 /// warm starts, workspace growth/peak bytes) over every plan since reset.
@@ -100,9 +110,22 @@ class MpcClimateController : public ctl::ClimateController {
   opt::SolveStatus last_plan_status() const { return last_plan_status_; }
   /// Whether the most recent solve's plan was applied to the actuators.
   bool last_plan_applied() const { return last_plan_applied_; }
+  /// The last applied plan and its final QP duals and working set — what
+  /// the next plan is seeded from (empty after a failed plan).
+  const std::optional<num::Vector>& last_solution() const {
+    return last_solution_;
+  }
+  const opt::SqpWarmStart& last_duals() const { return last_duals_; }
+
+  /// The seed for planning `formulation`'s window: the previous plan either
+  /// held as-is or shifted one stage forward, whichever matches the
+  /// measured initial state, with the dual seed held or shifted alongside
+  /// (see the file comment, step 3); the cold start when there is no plan.
+  MpcWarmStart warm_start(const MpcFormulation& formulation) const;
 
   /// Checkpoint hooks: round-trip everything that influences future plans —
-  /// warm-start primal/dual state, zero-order-hold input, plan schedule,
+  /// warm-start primal/dual state (plan, multipliers and QP working set),
+  /// zero-order-hold input, plan schedule,
   /// and the aggregate telemetry (including the QP workspace counters,
   /// which are pushed back into the solver on load).
   void save_state(BinaryWriter& writer) const override;
@@ -115,7 +138,6 @@ class MpcClimateController : public ctl::ClimateController {
 
  private:
   MpcWindowData make_window(const ctl::ControlContext& context) const;
-  num::Vector warm_start(const MpcFormulation& formulation) const;
   hvac::HvacInputs fallback_inputs(const ctl::ControlContext& context) const;
 
   hvac::HvacParams hvac_;

@@ -205,20 +205,27 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   for (std::size_t i = 0; i < mi; ++i) b_r_[i] = qp.b_vec[i];
   num::gemv_span(-1.0, qp.a_mat.ptr(), n, mi, n, d_p_.ptr(), b_r_.ptr());
 
-  // Warm working set: the support of the previous solve's inequality
-  // multipliers. Derived fresh from the caller's seed every time — the
+  // Warm working set: the previous solve's final working set united with
+  // the support of its inequality multipliers, ascending. The working set
+  // keeps the rows active at a degenerate vertex whose multipliers are
+  // zero; the support covers a seed from an interior-point solve, which has
+  // no working set. Derived fresh from the caller's seed every time — the
   // solver itself keeps no hidden cross-solve state.
   warm_idx_.clear();
   const bool warm =
       warm_start != nullptr && warm_start->z_ineq.size() == mi;
   if (warm) {
+    seed_mark_.assign(mi, 0);
+    for (const std::size_t i : warm_start->active_ineq)
+      if (i < mi) seed_mark_[i] = 1;
     double z_max = 0.0;
     for (std::size_t i = 0; i < mi; ++i)
       z_max = std::max(z_max, warm_start->z_ineq[i]);
     const double threshold =
         std::max(options.warm_threshold, options.warm_relative * z_max);
     for (std::size_t i = 0; i < mi; ++i)
-      if (warm_start->z_ineq[i] > threshold) warm_idx_.push_back(i);
+      if (seed_mark_[i] != 0 || warm_start->z_ineq[i] > threshold)
+        warm_idx_.push_back(i);
   }
 
   DenseActiveSetOutput as_out;
@@ -260,6 +267,8 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   result.status = QpStatus::kSolved;
   result.iterations = as_out.iterations;
   result.kkt_residual = as_out.kkt_residual;
+  result.active_ineq = active_set_.active_set();
+  std::sort(result.active_ineq.begin(), result.active_ineq.end());
 
   ++counters.solves;
   ++counters.condensed_solves;
@@ -284,8 +293,8 @@ std::size_t CondensedQpSolver::bytes() const {
       (col_ptr_.capacity() + col_j_.capacity() + z_nz_ptr_.capacity() +
        z_nz_col_.capacity() + warm_idx_.capacity()) *
       sizeof(std::size_t);
-  return mats + vecs + idx + chol_hr_.workspace_bytes() +
-         active_set_.bytes();
+  return mats + vecs + idx + seed_mark_.capacity() +
+         chol_hr_.workspace_bytes() + active_set_.bytes();
 }
 
 }  // namespace evc::opt

@@ -17,13 +17,15 @@
 //
 // solved by the warm-started dense active-set method in
 // optim/dense_active_set. The win is structural: the 60-variable dense QP
-// is solved by a handful of active-set steps seeded from the previous
-// subproblem's multipliers, instead of a 134-variable interior point that
-// factors its KKT system every iteration.
+// is solved by a few active-set steps seeded from the previous
+// subproblem's final working set and multiplier support (a mean of 5.8 on
+// Fig. 5's closed loop, see dense_active_set.hpp), instead of a
+// 134-variable interior point that factors its KKT system every iteration.
 //
 // The solver keeps no cross-solve state: every call condenses the live
 // QpProblem it is given, so its result is a pure function of that problem
-// and the caller's warm seed, and a checkpoint needs nothing from it. The
+// and the caller's warm seed (multipliers and working set, both carried by
+// the caller in QpWarmStart), and a checkpoint needs nothing from it. The
 // condensing itself only pays for nonzeros — E has about three per row, Z
 // about one in nine, and H·Z, ZᵀHZ and A·Z are accumulated from the
 // nonzero entries in the same order a dense product would add them, so the
@@ -85,10 +87,13 @@ struct CondensingPlan {
 struct CondensedQpOptions {
   /// Minimum pivot magnitude accepted when triangularizing E.
   double min_pivot = 1e-8;
-  /// Inequality multipliers in the warm start seed the active set when they
-  /// exceed max(warm_threshold, warm_relative · max_i z_i). The relative
-  /// part matters when the seed comes from an *interior-point* solve (the
-  /// bootstrap after any fallback): IPM multipliers are strictly positive
+  /// The warm start seeds the active set with its working set plus every
+  /// row whose inequality multiplier exceeds max(warm_threshold,
+  /// warm_relative · max_i z_i). The working set carries the rows active at
+  /// a degenerate vertex with zero multipliers; the multiplier support is
+  /// the whole seed when the warm start comes from an *interior-point*
+  /// solve (the bootstrap after any fallback), which has no working set.
+  /// There the relative part matters: IPM multipliers are strictly positive
   /// everywhere — inactive rows sit at the duality-gap floor (~tolerance),
   /// orders of magnitude below the active ones — so an absolute threshold
   /// alone seeds every row and the active-set method starts from garbage.
@@ -108,7 +113,9 @@ class CondensedQpSolver {
   /// Every condensing books condense_rebuilds and factorizations (it
   /// factors the reduced Hessian); a successful solve also books
   /// solves/condensed_solves, warm_starts when `warm_start` seeded the
-  /// active set, and active_set_changes into `counters`.
+  /// active set, and active_set_changes into `counters`. A successful
+  /// result carries the final working set, ascending, in active_ineq — the
+  /// seed for the next subproblem.
   QpResult solve(const QpProblem& qp, const CondensingPlan& plan,
                  const CondensedQpOptions& options, QpPerfCounters& counters,
                  const QpWarmStart* warm_start);
@@ -144,6 +151,7 @@ class CondensedQpSolver {
   // Per-solve scratch.
   num::Vector d_p_, rhs_full_, g_r_, b_r_, v_, lam_, hx_, y_eq_rhs_;
   std::vector<std::size_t> warm_idx_;
+  std::vector<unsigned char> seed_mark_;
 };
 
 }  // namespace evc::opt

@@ -5,11 +5,16 @@
 //
 // — the input-space subproblem produced by the condensed MPC backend
 // (optim/condensed_qp). The receding-horizon usage pattern is a sequence of
-// nearly identical QPs whose optimal active set barely changes from one
-// solve to the next, which is exactly the regime where an active-set method
-// beats the interior point: seeded with the previous solve's active set it
-// typically confirms optimality in one iteration, touching nothing but a
-// handful of back-substitutions.
+// nearly identical QPs whose optimal active set changes little from one
+// solve to the next, which is the regime where an active-set method beats
+// the interior point. Measured on Fig. 5's closed-loop ECE_EUDC run at
+// 35 °C, whose 1,836 warm solves are each seeded with the previous
+// subproblem's final working set united with its multiplier support: a
+// mean of 5.8 dual steps per solve, 53 % confirm optimality in one step,
+// and 17 % still take 17–32 steps. Almost all of that tail (300 of 313) is
+// later SQP iterations inside a plan; each plan's first subproblem averages
+// 4.8 steps. Seeded from the multiplier support alone, the same solves took
+// a mean of 31.9 steps and none took 2 or fewer.
 //
 // Method: dual active set (Goldfarb–Idnani). Start at the optimum of a
 // relaxed problem — the seeded working set W, pruned of any row whose
@@ -98,9 +103,9 @@ class SchurCholesky {
 };
 
 struct DenseActiveSetOptions {
-  /// Cap on dual steps (adds + drops + the seed-pruning passes). A warm
-  /// solve confirms in 1; a cold solve of an LP-like problem performs about
-  /// one step per optimal active row, so size this ≳ 2·n.
+  /// Cap on dual steps (adds + drops + the seed-pruning passes). A correct
+  /// warm seed confirms in 1; a cold solve of an LP-like problem performs
+  /// about one step per optimal active row, so size this ≳ 2·n.
   std::size_t max_iterations = 200;
   /// Feasibility/optimality margin, scaled per row by max(1, |b_i|):
   /// constraint i counts as violated when a_iᵀv − b_i exceeds it, and a
@@ -126,9 +131,11 @@ class DenseActiveSetSolver {
   /// Cholesky factor of H and `h` the matrix it factors — needed for the
   /// final KKT refinement, which polishes away the rounding error the
   /// incremental dual updates accumulate. `warm_active`
-  /// seeds the working set (ascending constraint indices — typically the
-  /// support of the previous solve's multipliers) and may be empty for a
-  /// cold start. On success `v` holds the primal solution and `lambda` the
+  /// seeds the working set with constraint indices, added in the order
+  /// given (a row numerically dependent on those before it is skipped; the
+  /// condensed backend passes the previous working set united with its
+  /// multiplier support, ascending), and may be empty for a cold start.
+  /// On success `v` holds the primal solution and `lambda` the
   /// full-length multiplier vector (zero at inactive rows). On failure the
   /// outputs are unspecified and the caller should fall back.
   ///
@@ -142,8 +149,10 @@ class DenseActiveSetSolver {
                              const DenseActiveSetOptions& options,
                              num::Vector& v, num::Vector& lambda);
 
-  /// Working set of the most recent successful solve (ascending indices) —
+  /// Working set of the most recent successful solve, in insertion order
+  /// (surviving seed rows first, then rows as the dual steps added them) —
   /// the warm seed for the next solve in a receding-horizon sequence.
+  /// Sort a copy where ascending order is needed.
   const std::vector<std::size_t>& active_set() const { return active_; }
 
   std::size_t bytes() const;

@@ -39,7 +39,9 @@ namespace evc::sim {
 /// v4: supervisor tier floor + forced-demotion counter.
 /// v5: the MPC section drops v3's backend cache section (the condensed QP
 ///     path keeps no cross-solve state).
-inline constexpr std::uint32_t kCheckpointFormatVersion = 5;
+/// v6: the MPC section carries the last plan's QP working set next to its
+///     multipliers, and its QP counter block gains condensed_fallbacks.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 6;
 
 /// I/O failure while writing or reading a checkpoint file (open, short
 /// write, fsync, rename). Distinct from SerializationError — the content

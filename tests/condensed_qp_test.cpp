@@ -1,12 +1,13 @@
 // Condensed QP backend: agreement with the sparse interior-point path on
 // real MPC subproblems across randomized horizons and constraint patterns,
 // statelessness (bit-identical results whatever was solved before) and its
-// counter accounting, controller checkpoint round-trips, and the backend
-// default.
+// counter accounting, working-set warm starts, interior-point fallback
+// accounting, controller checkpoint round-trips, and the backend default.
 #include "optim/condensed_qp.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -14,8 +15,11 @@
 #include <vector>
 
 #include "battery/battery_params.hpp"
+#include "core/experiment.hpp"
 #include "core/mpc_controller.hpp"
 #include "core/mpc_formulation.hpp"
+#include "core/simulation.hpp"
+#include "drivecycle/standard_cycles.hpp"
 #include "hvac/hvac_params.hpp"
 #include "numerics/kernels.hpp"
 #include "obs/trace.hpp"
@@ -248,10 +252,12 @@ TEST(CondensedQpTest, SolveIsPureFunctionOfProblemAndSeed) {
       fresh.solve(target, *f.condensing_plan(), options, fresh_counters,
                   nullptr);
   ASSERT_TRUE(cold.usable());
+  ASSERT_FALSE(cold.active_ineq.empty());
   opt::QpWarmStart seed;
   seed.x = cold.x;
   seed.y_eq = cold.y_eq;
   seed.z_ineq = cold.z_ineq;
+  seed.active_ineq = cold.active_ineq;
   opt::CondensedQpSolver fresh_warm;
   const auto warm = fresh_warm.solve(target, *f.condensing_plan(), options,
                                      fresh_counters, &seed);
@@ -273,6 +279,7 @@ TEST(CondensedQpTest, SolveIsPureFunctionOfProblemAndSeed) {
       chain.x = r.x;
       chain.y_eq = r.y_eq;
       chain.z_ineq = r.z_ineq;
+      chain.active_ineq = r.active_ineq;
       chain_seed = &chain;
     }
   }
@@ -289,6 +296,10 @@ TEST(CondensedQpTest, SolveIsPureFunctionOfProblemAndSeed) {
   expect_same_bits(warm_again.x, warm.x, "warm x");
   expect_same_bits(warm_again.y_eq, warm.y_eq, "warm y");
   expect_same_bits(warm_again.z_ineq, warm.z_ineq, "warm z");
+  EXPECT_EQ(cold_again.active_ineq, cold.active_ineq);
+  EXPECT_EQ(warm_again.active_ineq, warm.active_ineq);
+  EXPECT_EQ(warm_again.iterations, warm.iterations);
+  EXPECT_TRUE(std::is_sorted(warm.active_ineq.begin(), warm.active_ineq.end()));
 
   // Every solve condenses, and the counters say so: one condensing and one
   // reduced-Hessian factorization per solve, so a hit ratio computed from
@@ -298,6 +309,126 @@ TEST(CondensedQpTest, SolveIsPureFunctionOfProblemAndSeed) {
   EXPECT_EQ(counters.condense_rebuilds, solved);
   EXPECT_EQ(counters.factorizations, solved);
   EXPECT_EQ(counters.warm_starts, 5u);
+}
+
+TEST(CondensedQpTest, WorkingSetSeedMatchesColdSolve) {
+  // A solve seeded with a neighbouring subproblem's final working set —
+  // alone, and together with that subproblem's multipliers — reaches the
+  // cold solve's optimum within the tolerances of the cross-validation
+  // sweep in dense_active_set_test (objective 1e-5 relative, x 1e-4).
+  const opt::CondensedQpOptions options;
+  opt::CondensedQpSolver solver;
+  opt::QpPerfCounters counters;
+  for (const std::size_t horizon : {4u, 7u, 12u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto f = make_formulation(horizon, 300 + 10 * horizon + seed);
+      const opt::CondensingPlan& plan = *f.condensing_plan();
+      const opt::QpResult prev = solver.solve(
+          subproblem_at(f, perturbed_iterate(f, seed, 0.01)), plan, options,
+          counters, nullptr);
+      ASSERT_TRUE(prev.usable()) << "h=" << horizon << " seed=" << seed;
+      ASSERT_FALSE(prev.active_ineq.empty());
+      const opt::QpProblem qp =
+          subproblem_at(f, perturbed_iterate(f, seed + 50, 0.01));
+      const opt::QpResult cold =
+          solver.solve(qp, plan, options, counters, nullptr);
+      ASSERT_TRUE(cold.usable()) << "h=" << horizon << " seed=" << seed;
+
+      opt::QpWarmStart set_only;
+      set_only.z_ineq = num::Vector(qp.num_ineq());
+      set_only.active_ineq = prev.active_ineq;
+      opt::QpWarmStart full = set_only;
+      full.x = prev.x;
+      full.y_eq = prev.y_eq;
+      full.z_ineq = prev.z_ineq;
+      for (const opt::QpWarmStart* warm : {&set_only, &full}) {
+        const opt::QpResult r = solver.solve(qp, plan, options, counters, warm);
+        ASSERT_TRUE(r.usable()) << "h=" << horizon << " seed=" << seed;
+        EXPECT_NEAR(r.objective, cold.objective,
+                    1e-5 * (1.0 + std::abs(cold.objective)))
+            << "h=" << horizon << " seed=" << seed;
+        for (std::size_t i = 0; i < qp.num_vars(); ++i)
+          EXPECT_NEAR(r.x[i], cold.x[i], 1e-4)
+              << "h=" << horizon << " seed=" << seed << " var " << i;
+      }
+    }
+  }
+}
+
+TEST(CondensedQpTest, RecedingHorizonWarmSolvesTakeFewDualSteps) {
+  // Closed loop over the first 400 s of ECE_EUDC at 35 C: every subproblem
+  // after the first plan is seeded with the previous subproblem's working
+  // set (shifted by one stage at plan boundaries). Measured: 5.94 dual
+  // steps per warm solve over 627 solves; seeding from the multiplier
+  // support alone took 32.8. The bound leaves room for rounding-level drift
+  // in the closed-loop path.
+  const core::EvParams params;
+  const auto profile =
+      drive::make_cycle_profile(drive::StandardCycle::kEceEudc, 35.0)
+          .window(0, 400);
+  auto controller = core::make_mpc_controller(params);
+  core::SimulationSession session(params, *controller, profile, {});
+  while (controller->stats().plans < 1) session.advance();
+  const std::size_t steps0 = controller->stats().qp_iterations;
+  const std::size_t solves0 = controller->stats().solver.solves;
+  session.run_to_completion();
+  const core::MpcPlanStats& stats = controller->stats();
+  const std::size_t warm_solves = stats.solver.solves - solves0;
+  ASSERT_GT(warm_solves, 300u);
+  EXPECT_EQ(stats.solver.condensed_fallbacks, 0u);
+  const double mean_steps =
+      static_cast<double>(stats.qp_iterations - steps0) /
+      static_cast<double>(warm_solves);
+  EXPECT_LT(mean_steps, 8.0) << "over " << warm_solves << " warm solves";
+}
+
+/// An MPC window whose condensing plan is sized for a problem one variable
+/// larger: every condensed attempt fails its size check.
+class MismatchedPlanProblem : public opt::NlpProblem {
+ public:
+  explicit MismatchedPlanProblem(const core::MpcFormulation& f)
+      : f_(f), plan_(*f.condensing_plan()) {
+    plan_.num_vars += 1;
+  }
+  std::size_t num_vars() const override { return f_.num_vars(); }
+  std::size_t num_eq() const override { return f_.num_eq(); }
+  double cost(const num::Vector& x) const override { return f_.cost(x); }
+  num::Vector cost_gradient(const num::Vector& x) const override {
+    return f_.cost_gradient(x);
+  }
+  num::Matrix cost_hessian(const num::Vector& x) const override {
+    return f_.cost_hessian(x);
+  }
+  num::Vector eq_constraints(const num::Vector& x) const override {
+    return f_.eq_constraints(x);
+  }
+  num::Matrix eq_jacobian(const num::Vector& x) const override {
+    return f_.eq_jacobian(x);
+  }
+  const num::Matrix& ineq_matrix() const override { return f_.ineq_matrix(); }
+  const num::Vector& ineq_vector() const override { return f_.ineq_vector(); }
+  const opt::CondensingPlan* condensing_plan() const override {
+    return &plan_;
+  }
+
+ private:
+  const core::MpcFormulation& f_;
+  opt::CondensingPlan plan_;
+};
+
+TEST(CondensedQpTest, FailedCondensedAttemptCountsOneFallbackPerSubproblem) {
+  const auto f = make_formulation(6, 11);
+  const MismatchedPlanProblem problem(f);
+  const opt::SqpSolver solver(core::MpcOptions{}.sqp);
+  const opt::SqpResult result = solver.solve(problem, f.cold_start());
+  ASSERT_TRUE(result.usable());
+  ASSERT_GT(result.iterations, 1u);
+  const opt::QpPerfCounters& c = solver.qp_counters();
+  EXPECT_EQ(c.condensed_solves, 0u);
+  EXPECT_EQ(c.condensed_fallbacks, result.iterations);
+  EXPECT_GT(c.ipm_iterations, 0u);
+  // The interior point keeps no working set to hand on.
+  EXPECT_TRUE(result.active_ineq.empty());
 }
 
 TEST(CondensedQpTest, SqpEndToEndMatchesSparseBackend) {
@@ -408,6 +539,11 @@ TEST(CondensedQpTest, ControllerCheckpointRoundTripUnderCondensedBackend) {
   EXPECT_DOUBLE_EQ(a.air_flow_kg_s, b.air_flow_kg_s);
   EXPECT_EQ(restored.stats().solver.condensed_solves,
             mpc.stats().solver.condensed_solves);
+  // The restored working set seeds the next plan exactly as the original
+  // does, so it takes the same dual steps; seeding from the multiplier
+  // support alone would take more.
+  EXPECT_EQ(restored.stats().qp_iterations, mpc.stats().qp_iterations);
+  EXPECT_EQ(restored.last_duals().active_ineq, mpc.last_duals().active_ineq);
 }
 
 }  // namespace
