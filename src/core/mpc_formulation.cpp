@@ -152,6 +152,7 @@ void MpcFormulation::build_cost() {
       }
     }
   }
+  hessian_rows_.assign(hessian_);
 }
 
 double MpcFormulation::peukert_g(double p_kw) const {
@@ -174,12 +175,17 @@ double MpcFormulation::peukert_dg(double p_kw) const {
                     (p_kw / mag) / peukert_pnom_kw_;
 }
 
+// H·z over H's nonzeros: the same bits as hessian_ * z (see SparseRows).
 double MpcFormulation::cost(const num::Vector& z) const {
-  return 0.5 * z.dot(hessian_ * z) + gradient_const_.dot(z);
+  num::Vector hz;
+  hessian_rows_.times(z, hz);
+  return 0.5 * z.dot(hz) + gradient_const_.dot(z);
 }
 
 num::Vector MpcFormulation::cost_gradient(const num::Vector& z) const {
-  return hessian_ * z + gradient_const_;
+  num::Vector grad;
+  hessian_rows_.times(z, grad);
+  return grad += gradient_const_;
 }
 
 num::Matrix MpcFormulation::cost_hessian(const num::Vector&) const {

@@ -160,6 +160,9 @@ class MpcFormulation : public opt::NlpProblem {
   double peukert_pnom_kw_ = 8.0;
 
   num::Matrix hessian_;
+  /// hessian_'s nonzeros, for H·z in cost() and cost_gradient(): a few per
+  /// row, at most horizon + 1 (the SoC rows of the window-variance form).
+  num::SparseRows hessian_rows_;
   num::Vector gradient_const_;
   num::Matrix a_mat_;
   num::Vector b_vec_;

@@ -151,4 +151,33 @@ void Matrix::symmetrize() {
     }
 }
 
+void SparseRows::assign(const Matrix& m) {
+  num_cols = m.cols();
+  row_ptr.assign(m.rows() + 1, 0);
+  cols.clear();
+  vals.clear();
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    row_ptr[r] = cols.size();
+    const double* row = m.row_ptr(r);
+    for (std::size_t c = 0; c < num_cols; ++c)
+      if (row[c] != 0.0) {
+        cols.push_back(c);
+        vals.push_back(row[c]);
+      }
+  }
+  row_ptr[m.rows()] = cols.size();
+}
+
+void SparseRows::times(const Vector& x, Vector& y) const {
+  EVC_EXPECT(x.size() == num_cols, "SparseRows * Vector dimension mismatch");
+  const std::size_t m = rows();
+  y.resize(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    double acc = 0.0;
+    for (std::size_t t = row_ptr[r]; t < row_ptr[r + 1]; ++t)
+      acc += vals[t] * x[cols[t]];
+    y[r] = acc;
+  }
+}
+
 }  // namespace evc::num

@@ -78,4 +78,22 @@ class Matrix {
   AlignedBuffer data_;
 };
 
+/// The nonzeros of a matrix row by row, columns ascending (compressed sparse
+/// row), for products with matrices whose rows hold a handful of nonzeros.
+/// times() adds each row's nonzero products in column order, so for finite
+/// x it returns the bits of Matrix::operator*(Vector): the terms it skips
+/// are exact zeros, and a sum that starts at +0 never becomes −0.
+struct SparseRows {
+  std::size_t num_cols = 0;
+  std::vector<std::size_t> row_ptr;  ///< row r is [row_ptr[r], row_ptr[r+1])
+  std::vector<std::size_t> cols;
+  std::vector<double> vals;
+
+  /// Gather the nonzeros of `m`, reusing this object's storage.
+  void assign(const Matrix& m);
+  std::size_t rows() const { return row_ptr.empty() ? 0 : row_ptr.size() - 1; }
+  /// y := M·x.
+  void times(const Vector& x, Vector& y) const;
+};
+
 }  // namespace evc::num
