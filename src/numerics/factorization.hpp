@@ -15,6 +15,12 @@
 // reused whenever the dimension allows, so steady-state refactorization
 // performs no heap allocation. `solve_into` writes the solution into a
 // caller-provided buffer for the same reason.
+//
+// Both skip work whose products are exact zeros, with the bits of the full
+// computation for finite inputs: LU stops each row update at the pivot
+// row's last nonzero, so a banded matrix costs O(n·band²); Cholesky's
+// solve_into starts its forward sweep at the right-hand side's first
+// nonzero, from that nonzero's kDotBlock-aligned block (simd_blocked.hpp).
 #pragma once
 
 #include <cstddef>
@@ -46,6 +52,12 @@ class LuFactorization {
   /// permutation reads b out of order).
   void solve_into(const Vector& b, Vector& x) const;
   double determinant() const;
+
+  /// Packed factor entry: L(r, c) below the diagonal (unit diagonal
+  /// implied), U(r, c) on and above it — test introspection.
+  double entry(std::size_t r, std::size_t c) const { return lu_(r, c); }
+  /// Original row of A that pivoting moved to row i.
+  std::size_t pivot_row(std::size_t i) const { return perm_[i]; }
 
   /// Bytes of factorization storage currently held.
   std::size_t workspace_bytes() const {
@@ -79,6 +91,8 @@ class CholeskyFactorization {
   /// Solve A·x = b into `x` (resized; aliasing `b` is allowed — the
   /// triangular sweeps overwrite sequentially).
   void solve_into(const Vector& b, Vector& x) const;
+  /// Factor entry L(r, c), r ≥ c — test introspection.
+  double entry(std::size_t r, std::size_t c) const { return l_(r, c); }
 
   /// Solve L·Y = B in place, one right-hand side per *column* of B (n×k).
   /// Row-oriented sweeps keep every inner loop contiguous, which is what

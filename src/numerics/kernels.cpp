@@ -66,6 +66,17 @@ double dot_span(const double* x, const double* y, std::size_t n) {
   return simd::active().dot(x, y, n);
 }
 
+double dot_span_between(const double* x, const double* y, std::size_t n,
+                        std::size_t first, std::size_t last) {
+  constexpr std::size_t kBlock = simd::kDotBlock;
+  const std::size_t begin = first - first % kBlock;
+  // Stop at a block boundary only inside the unrolled part of the row; a
+  // last nonzero in the four-element block or the tail keeps the full end.
+  std::size_t end = (last / kBlock + 1) * kBlock;
+  if (end > n - n % kBlock) end = n;
+  return simd::active().dot(x + begin, y + begin, end - begin);
+}
+
 void axpy_span(double a, const double* x, double* y, std::size_t n) {
   simd::active().axpy(a, x, y, n);
 }

@@ -52,6 +52,12 @@ void copy_into(const Matrix& src, Matrix& dst);
 
 /// Σ x[i]·y[i] over n elements.
 double dot_span(const double* x, const double* y, std::size_t n);
+/// dot_span(x, y, n) for finite inputs whose products outside
+/// [first, last] are all exact zeros: the kernel runs over only the
+/// kDotBlock-aligned blocks that cover [first, last], which returns the
+/// same bits (see simd_blocked.hpp). Requires first ≤ last < n.
+double dot_span_between(const double* x, const double* y, std::size_t n,
+                        std::size_t first, std::size_t last);
 /// y[i] += a·x[i] over n elements.
 void axpy_span(double a, const double* x, double* y, std::size_t n);
 /// y[i] += alpha·(A·x)[i]; A is rows×cols row-major, leading dimension lda.

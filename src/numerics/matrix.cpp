@@ -1,8 +1,11 @@
 #include "numerics/matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
+#include "numerics/kernels.hpp"
 #include "util/expect.hpp"
 
 namespace evc::num {
@@ -156,16 +159,67 @@ void SparseRows::assign(const Matrix& m) {
   row_ptr.assign(m.rows() + 1, 0);
   cols.clear();
   vals.clear();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    row_ptr[r] = cols.size();
-    const double* row = m.row_ptr(r);
-    for (std::size_t c = 0; c < num_cols; ++c)
+  const auto push_nonzeros = [this](const double* row, std::size_t c,
+                                    std::size_t end) {
+    for (; c < end; ++c)
       if (row[c] != 0.0) {
         cols.push_back(c);
         vals.push_back(row[c]);
       }
+  };
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    row_ptr[r] = cols.size();
+    const double* row = m.row_ptr(r);
+    // Rows hold a handful of nonzeros, so test four entries at a time: a
+    // double is ±0 exactly when its bits shifted left by one are zero.
+    std::size_t c = 0;
+    for (; c + 4 <= num_cols; c += 4) {
+      const std::uint64_t any = std::bit_cast<std::uint64_t>(row[c]) |
+                                std::bit_cast<std::uint64_t>(row[c + 1]) |
+                                std::bit_cast<std::uint64_t>(row[c + 2]) |
+                                std::bit_cast<std::uint64_t>(row[c + 3]);
+      if ((any << 1) != 0) push_nonzeros(row, c, c + 4);
+    }
+    push_nonzeros(row, c, num_cols);
   }
   row_ptr[m.rows()] = cols.size();
+}
+
+double SparseRows::dot(std::size_t r, const Matrix& m,
+                       const double* x) const {
+  const std::size_t begin = row_ptr[r], end = row_ptr[r + 1];
+  if (end - begin > 2)
+    return dot_span_between(m.row_ptr(r), x, num_cols, cols[begin],
+                            cols[end - 1]);
+  double acc = 0.0;
+  for (std::size_t t = begin; t < end; ++t) acc += vals[t] * x[cols[t]];
+  return acc;
+}
+
+void SparseRows::gemv(double alpha, const Matrix& m, const double* x,
+                      double* y) const {
+  EVC_EXPECT(m.rows() == rows() && m.cols() == num_cols,
+             "SparseRows::gemv: view does not match the dense matrix");
+  for (std::size_t r = 0; r < rows(); ++r) y[r] += alpha * dot(r, m, x);
+}
+
+void SparseRows::gemv_t(const double* x, double* y) const {
+  for (std::size_t r = 0; r < rows(); ++r)
+    for (std::size_t t = row_ptr[r]; t < row_ptr[r + 1]; ++t)
+      y[cols[t]] += x[r] * vals[t];
+}
+
+void ShortRows::reset(std::size_t rows) {
+  len.assign(rows, kLong);
+  cols.resize(2 * rows);
+  vals.resize(2 * rows);
+}
+
+double ShortRows::dot(std::size_t r, const double* x) const {
+  double acc = 0.0;
+  for (std::size_t t = 2 * r; t < 2 * r + len[r]; ++t)
+    acc += vals[t] * x[cols[t]];
+  return acc;
 }
 
 void SparseRows::times(const Vector& x, Vector& y) const {

@@ -94,6 +94,37 @@ struct SparseRows {
   std::size_t rows() const { return row_ptr.empty() ? 0 : row_ptr.size() - 1; }
   /// y := M·x.
   void times(const Vector& x, Vector& y) const;
+  /// Row r of `m`, the matrix this view was gathered from, times x in the
+  /// bits of dot_span over the whole row, for finite x. A row with at most
+  /// two nonzeros is summed from them, starting at +0 — exactly what the
+  /// blocked dot returns when every other product is an exact zero (see
+  /// simd_blocked.hpp); a longer row goes through the kernel over the
+  /// blocks that hold its nonzeros (dot_span_between).
+  double dot(std::size_t r, const Matrix& m, const double* x) const;
+  /// y[r] += alpha·dot(r, m, x) for every row: the bits of gemv_span.
+  void gemv(double alpha, const Matrix& m, const double* x, double* y) const;
+  /// y[c] += x[r]·M(r, c) over the nonzeros: the bits of gemv_t_span with
+  /// alpha 1 for finite x as long as no entry of y is −0, since adding a
+  /// skipped exact-zero product changes only a −0 (and a sum never turns
+  /// into −0 unless both terms are).
+  void gemv_t(const double* x, double* y) const;
+};
+
+/// The rows of a matrix with at most two nonzeros, entry by entry; a
+/// longer row is only marked. Built by whoever forms the matrix and knows
+/// its structure, so nothing rescans the dense rows.
+struct ShortRows {
+  static constexpr unsigned char kLong = 3;
+  std::vector<unsigned char> len;  ///< entries in row r (0, 1 or 2) or kLong
+  std::vector<std::size_t> cols;   ///< row r's entries are [2r, 2r + len[r])
+  std::vector<double> vals;
+
+  /// Mark `rows` rows long, reusing storage.
+  void reset(std::size_t rows);
+  bool is_short(std::size_t r) const { return len[r] != kLong; }
+  /// Short row r times x, summed from +0 in entry order: the bits of
+  /// dot_span over the dense row for finite x (see SparseRows::dot).
+  double dot(std::size_t r, const double* x) const;
 };
 
 }  // namespace evc::num
