@@ -275,8 +275,8 @@ int main(int argc, char** argv) {
     std::vector<std::size_t> warm;
     // Cold solve outside the timer establishes the working set.
     if (!active_set
-             .solve(h_chol, problem.h, problem.a_mat, g, problem.b_vec, warm,
-                    as_opts, v, lambda)
+             .solve(h_chol, problem.h, problem.a_mat, nullptr, g,
+                    problem.b_vec, warm, as_opts, v, lambda)
              .usable())
       return 1;
     const std::size_t reps = 200;
@@ -286,9 +286,9 @@ int main(int argc, char** argv) {
       warm = active_set.active_set();
       for (std::size_t i = 0; i < n; ++i)
         g[i] = problem.g[i] + 1e-3 * rng.uniform(-1, 1);
-      const auto out = active_set.solve(h_chol, problem.h, problem.a_mat, g,
-                                        problem.b_vec, warm, as_opts, v,
-                                        lambda);
+      const auto out =
+          active_set.solve(h_chol, problem.h, problem.a_mat, nullptr, g,
+                           problem.b_vec, warm, as_opts, v, lambda);
       if (!out.usable()) return 1;
     }
     write_bench_header(json, "dense_active_set_resolve", reps,

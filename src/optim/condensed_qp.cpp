@@ -6,6 +6,7 @@
 
 #include "numerics/kernels.hpp"
 #include "obs/trace.hpp"
+#include "util/expect.hpp"
 
 namespace evc::opt {
 
@@ -57,115 +58,138 @@ bool CondensingPlan::finalize() {
   return true;
 }
 
-bool CondensedQpSolver::condense(const QpProblem& qp,
+bool CondensedQpSolver::condense(const QpProblem& qp, const QpNonzeros& nz,
                                  const CondensingPlan& plan,
                                  double min_pivot) {
   const std::size_t n = plan.num_vars;
   const std::size_t me = plan.num_eq();
   const std::size_t nf = plan.num_free();
-  const num::Matrix& e = qp.e_mat;
+  const num::SparseRows& e = nz.e;
+  dep_step_.assign(n, me);
+  for (std::size_t i = 0; i < me; ++i) dep_step_[plan.dep_cols[i]] = i;
 
   // Structural check against the actual matrix: in elimination order, row i
   // must not touch a variable eliminated later, and its pivot must be solid.
   pivots_.assign(me, 0.0);
   for (std::size_t i = 0; i < me; ++i) {
-    const double pivot = e(plan.dep_rows[i], plan.dep_cols[i]);
+    const double pivot = qp.e_mat(plan.dep_rows[i], plan.dep_cols[i]);
     if (std::abs(pivot) < min_pivot) return false;
     pivots_[i] = pivot;
-    for (std::size_t j = i + 1; j < me; ++j)
-      if (e(plan.dep_rows[i], plan.dep_cols[j]) != 0.0) return false;
+    const std::size_t row = plan.dep_rows[i];
+    for (std::size_t t = e.row_ptr[row]; t < e.row_ptr[row + 1]; ++t) {
+      const std::size_t step = dep_step_[e.cols[t]];
+      if (step > i && step < me) return false;
+    }
   }
 
   // Null-space basis Z by forward substitution: free rows are unit vectors,
   // each dependent row is solved from its equality row (which, by the order
-  // just verified, references only rows already filled in). Zero entries of
-  // E are skipped — MPC equality rows have a handful of nonzeros each.
+  // just verified, references only rows already filled in), walking the
+  // row's nonzeros in ascending column order.
   z_.resize(n, nf);
   for (std::size_t t = 0; t < nf; ++t) z_(plan.free_cols[t], t) = 1.0;
   for (std::size_t i = 0; i < me; ++i) {
     const std::size_t row = plan.dep_rows[i];
     const std::size_t col = plan.dep_cols[i];
-    const double* e_row = e.row_ptr(row);
     double* z_col = z_.row_ptr(col);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == col || e_row[j] == 0.0) continue;
-      num::axpy_span(-e_row[j] / pivots_[i], z_.row_ptr(j), z_col, nf);
+    for (std::size_t t = e.row_ptr[row]; t < e.row_ptr[row + 1]; ++t) {
+      const std::size_t j = e.cols[t];
+      if (j == col) continue;
+      num::axpy_span(-e.vals[t] / pivots_[i], z_.row_ptr(j), z_col, nf);
     }
   }
-  z_nz_ptr_.assign(n + 1, 0);
-  z_nz_col_.clear();
-  for (std::size_t k = 0; k < n; ++k) {
-    z_nz_ptr_[k] = z_nz_col_.size();
-    const double* z_row = z_.row_ptr(k);
-    for (std::size_t t = 0; t < nf; ++t)
-      if (z_row[t] != 0.0) z_nz_col_.push_back(t);
-  }
-  z_nz_ptr_[n] = z_nz_col_.size();
+  z_nz_.assign(z_);
 
   // H·Z and A·Z over the nonzeros of both factors. Each output entry still
   // sums its products in ascending k, the order of the dense kernels, and a
   // skipped product is an exact zero — so the sums are the dense bits.
-  times_z(qp.h, hz_);
-  times_z(qp.a_mat, a_r_);
+  times_z(nz.h, hz_, nullptr);
+  times_z(nz.a, a_r_, &a_r_short_);
 
   // ZᵀHZ the same way: row i of the dense product Zᵀ·(H·Z) adds
   // Z(k, i)·(H·Z)(k, :) for k ascending, so walking k over Z's nonzeros
   // reproduces it with about one ninth of the row updates.
   h_r_.resize(nf, nf);
   for (std::size_t k = 0; k < n; ++k) {
-    const double* z_row = z_.row_ptr(k);
     const double* hz_row = hz_.row_ptr(k);
-    for (std::size_t t = z_nz_ptr_[k]; t < z_nz_ptr_[k + 1]; ++t) {
-      const std::size_t i = z_nz_col_[t];
-      num::axpy_span(z_row[i], hz_row, h_r_.row_ptr(i), nf);
-    }
+    for (std::size_t t = z_nz_.row_ptr[k]; t < z_nz_.row_ptr[k + 1]; ++t)
+      num::axpy_span(z_nz_.vals[t], hz_row, h_r_.row_ptr(z_nz_.cols[t]), nf);
   }
   h_r_.symmetrize();
   if (!chol_hr_.factorize(h_r_)) return false;
 
   // Dual-recovery table: for elimination step i, the nonzeros of E's
   // column dep_cols[i] in later dependent rows (the strictly-lower part of
-  // the triangularized block, consumed backwards when recovering y).
+  // the triangularized block, consumed backwards when recovering y), in
+  // ascending step order. Counted, then filled, walking the rows in
+  // elimination order.
   col_ptr_.assign(me + 1, 0);
-  col_j_.clear();
-  col_val_.clear();
-  for (std::size_t i = 0; i < me; ++i) {
-    col_ptr_[i] = col_j_.size();
-    for (std::size_t j = i + 1; j < me; ++j) {
-      const double val = e(plan.dep_rows[j], plan.dep_cols[i]);
-      if (val != 0.0) {
-        col_j_.push_back(j);
-        col_val_.push_back(val);
-      }
+  for (std::size_t j = 0; j < me; ++j) {
+    const std::size_t row = plan.dep_rows[j];
+    for (std::size_t t = e.row_ptr[row]; t < e.row_ptr[row + 1]; ++t)
+      if (dep_step_[e.cols[t]] < j) ++col_ptr_[dep_step_[e.cols[t]] + 1];
+  }
+  for (std::size_t i = 0; i < me; ++i) col_ptr_[i + 1] += col_ptr_[i];
+  col_j_.resize(col_ptr_[me]);
+  col_val_.resize(col_ptr_[me]);
+  fill_.assign(col_ptr_.begin(), col_ptr_.end() - 1);
+  for (std::size_t j = 0; j < me; ++j) {
+    const std::size_t row = plan.dep_rows[j];
+    for (std::size_t t = e.row_ptr[row]; t < e.row_ptr[row + 1]; ++t) {
+      const std::size_t i = dep_step_[e.cols[t]];
+      if (i >= j) continue;
+      col_j_[fill_[i]] = j;
+      col_val_[fill_[i]++] = e.vals[t];
     }
   }
-  col_ptr_[me] = col_j_.size();
   return true;
 }
 
-void CondensedQpSolver::times_z(const num::Matrix& m, num::Matrix& out) const {
-  const std::size_t n = z_.rows();
-  out.resize(m.rows(), z_.cols());
+void CondensedQpSolver::times_z(const num::SparseRows& m, num::Matrix& out,
+                                num::ShortRows* short_rows) {
+  const std::size_t nf = z_.cols();
+  out.resize(m.rows(), nf);
+  if (short_rows != nullptr) {
+    short_rows->reset(m.rows());
+    touched_by_.assign(nf, m.rows());
+  }
   for (std::size_t i = 0; i < m.rows(); ++i) {
-    const double* m_row = m.row_ptr(i);
     double* out_row = out.row_ptr(i);
-    for (std::size_t k = 0; k < n; ++k) {
-      const double mik = m_row[k];
-      if (mik == 0.0) continue;
-      const double* z_row = z_.row_ptr(k);
-      for (std::size_t t = z_nz_ptr_[k]; t < z_nz_ptr_[k + 1]; ++t)
-        out_row[z_nz_col_[t]] += mik * z_row[z_nz_col_[t]];
+    std::size_t touched = 0;
+    for (std::size_t s = m.row_ptr[i]; s < m.row_ptr[i + 1]; ++s) {
+      const std::size_t k = m.cols[s];
+      const double mik = m.vals[s];
+      for (std::size_t t = z_nz_.row_ptr[k]; t < z_nz_.row_ptr[k + 1]; ++t) {
+        const std::size_t c = z_nz_.cols[t];
+        out_row[c] += mik * z_nz_.vals[t];
+        if (short_rows != nullptr && touched_by_[c] != i) {
+          touched_by_[c] = i;
+          if (touched < 2) short_rows->cols[2 * i + touched] = c;
+          ++touched;
+        }
+      }
+    }
+    // Every column the products did not touch holds an exact +0.
+    if (short_rows != nullptr && touched <= 2) {
+      std::size_t* c = &short_rows->cols[2 * i];
+      if (touched == 2 && c[1] < c[0]) std::swap(c[0], c[1]);
+      for (std::size_t t = 0; t < touched; ++t)
+        short_rows->vals[2 * i + t] = out_row[c[t]];
+      short_rows->len[i] = static_cast<unsigned char>(touched);
     }
   }
 }
 
-QpResult CondensedQpSolver::solve(const QpProblem& qp,
+QpResult CondensedQpSolver::solve(const QpProblem& qp, const QpNonzeros& nz,
                                   const CondensingPlan& plan,
                                   const CondensedQpOptions& options,
                                   QpPerfCounters& counters,
                                   const QpWarmStart* warm_start) {
   QpResult result;
   if (!plan_matches(qp, plan)) return result;
+  EVC_EXPECT(nz.h.rows() == qp.num_vars() && nz.e.rows() == qp.num_eq() &&
+                 nz.a.rows() == qp.num_ineq(),
+             "condensed QP: nonzero views do not match the problem");
 
   const auto start = std::chrono::steady_clock::now();
   const std::size_t n = qp.num_vars();
@@ -175,7 +199,7 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
 
   {
     EVC_TRACE_SPAN("qp.condense");
-    if (!condense(qp, plan, options.min_pivot)) return result;
+    if (!condense(qp, nz, plan, options.min_pivot)) return result;
   }
   ++counters.condense_rebuilds;
   ++counters.factorizations;
@@ -186,24 +210,21 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   d_p_.assign(n, 0.0);
   for (std::size_t i = 0; i < me; ++i) {
     const std::size_t row = plan.dep_rows[i];
-    const double acc =
-        qp.e_vec[row] - num::dot_span(qp.e_mat.row_ptr(row), d_p_.ptr(), n);
+    const double acc = qp.e_vec[row] - nz.e.dot(row, qp.e_mat, d_p_.ptr());
     d_p_[plan.dep_cols[i]] = acc / pivots_[i];
   }
 
   // Reduced gradient g_r = Zᵀ(H·d_p + g) and rhs b_r = b − A·d_p.
   rhs_full_.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) rhs_full_[j] = qp.g[j];
-  num::gemv_span(1.0, qp.h.ptr(), n, n, n, d_p_.ptr(), rhs_full_.ptr());
+  nz.h.gemv(1.0, qp.h, d_p_.ptr(), rhs_full_.ptr());
   g_r_.assign(nf, 0.0);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double* z_row = z_.row_ptr(k);
-    for (std::size_t t = z_nz_ptr_[k]; t < z_nz_ptr_[k + 1]; ++t)
-      g_r_[z_nz_col_[t]] += rhs_full_[k] * z_row[z_nz_col_[t]];
-  }
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t t = z_nz_.row_ptr[k]; t < z_nz_.row_ptr[k + 1]; ++t)
+      g_r_[z_nz_.cols[t]] += rhs_full_[k] * z_nz_.vals[t];
   b_r_.assign(mi, 0.0);
   for (std::size_t i = 0; i < mi; ++i) b_r_[i] = qp.b_vec[i];
-  num::gemv_span(-1.0, qp.a_mat.ptr(), n, mi, n, d_p_.ptr(), b_r_.ptr());
+  nz.a.gemv(-1.0, qp.a_mat, d_p_.ptr(), b_r_.ptr());
 
   // Warm working set: the previous solve's final working set united with
   // the support of its inequality multipliers, ascending. The working set
@@ -231,8 +252,8 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   DenseActiveSetOutput as_out;
   {
     EVC_TRACE_SPAN_VAR(span, "qp.active_set");
-    as_out = active_set_.solve(chol_hr_, h_r_, a_r_, g_r_, b_r_, warm_idx_,
-                               options.active_set, v_, lam_);
+    as_out = active_set_.solve(chol_hr_, h_r_, a_r_, &a_r_short_, g_r_, b_r_,
+                               warm_idx_, options.active_set, v_, lam_);
     span.arg("iterations", static_cast<double>(as_out.iterations));
     span.arg("set_changes", static_cast<double>(as_out.set_changes));
   }
@@ -241,7 +262,7 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   // Expand v back to the full space and recover the multipliers.
   result.x.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) result.x[j] = d_p_[j];
-  num::gemv_span(1.0, z_.ptr(), nf, n, nf, v_.ptr(), result.x.ptr());
+  z_nz_.gemv(1.0, z_, v_.ptr(), result.x.ptr());
   result.z_ineq.assign(mi, 0.0);
   for (std::size_t i = 0; i < mi; ++i) result.z_ineq[i] = lam_[i];
 
@@ -249,13 +270,14 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp,
   // the dependent columns in reverse elimination order (Eᵀ restricted to
   // those columns is upper triangular in that order).
   hx_.assign(n, 0.0);
-  num::gemv_span(1.0, qp.h.ptr(), n, n, n, result.x.ptr(), hx_.ptr());
+  nz.h.gemv(1.0, qp.h, result.x.ptr(), hx_.ptr());
   result.objective = 0.5 * num::dot_span(result.x.ptr(), hx_.ptr(), n) +
                      num::dot_span(qp.g.ptr(), result.x.ptr(), n);
+  // hx_ comes from a kernel sum that starts at +0 and g is added to it, so
+  // no entry is −0 and Aᵀλ may skip A's zeros (see SparseRows::gemv_t).
   y_eq_rhs_.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) y_eq_rhs_[j] = hx_[j] + qp.g[j];
-  num::gemv_t_span(1.0, qp.a_mat.ptr(), n, mi, n, lam_.ptr(),
-                   y_eq_rhs_.ptr());
+  nz.a.gemv_t(lam_.ptr(), y_eq_rhs_.ptr());
   result.y_eq.assign(me, 0.0);
   for (std::size_t i = me; i-- > 0;) {
     double acc = -y_eq_rhs_[plan.dep_cols[i]];
@@ -287,13 +309,18 @@ std::size_t CondensedQpSolver::bytes() const {
   const std::size_t vecs =
       (d_p_.capacity() + rhs_full_.capacity() + g_r_.capacity() +
        b_r_.capacity() + v_.capacity() + lam_.capacity() + hx_.capacity() +
-       y_eq_rhs_.capacity() + pivots_.capacity() + col_val_.capacity()) *
+       y_eq_rhs_.capacity() + pivots_.capacity() + col_val_.capacity() +
+       z_nz_.vals.capacity()) *
       sizeof(double);
   const std::size_t idx =
-      (col_ptr_.capacity() + col_j_.capacity() + z_nz_ptr_.capacity() +
-       z_nz_col_.capacity() + warm_idx_.capacity()) *
+      (col_ptr_.capacity() + col_j_.capacity() + z_nz_.row_ptr.capacity() +
+       z_nz_.cols.capacity() + warm_idx_.capacity() + dep_step_.capacity() +
+       touched_by_.capacity() + fill_.capacity() +
+       a_r_short_.cols.capacity()) *
       sizeof(std::size_t);
   return mats + vecs + idx + seed_mark_.capacity() +
+         a_r_short_.len.capacity() +
+         a_r_short_.vals.capacity() * sizeof(double) +
          chol_hr_.workspace_bytes() + active_set_.bytes();
 }
 

@@ -26,10 +26,18 @@
 // QpProblem it is given, so its result is a pure function of that problem
 // and the caller's warm seed (multipliers and working set, both carried by
 // the caller in QpWarmStart), and a checkpoint needs nothing from it. The
-// condensing itself only pays for nonzeros — E has about three per row, Z
-// about one in nine, and H·Z, ZᵀHZ and A·Z are accumulated from the
-// nonzero entries in the same order a dense product would add them, so the
-// sums are bit-identical to the dense kernels.
+// condensing itself only pays for nonzeros, read from the caller's
+// QpNonzeros views of H, E and A (gathered as often as each matrix changes)
+// and from Z's, gathered once Z is built. E has about three nonzeros per
+// row and Z about one in nine: Z, its triangularity check and the
+// dual-recovery table come from E's view; H·Z, ZᵀHZ and A·Z are
+// accumulated from the nonzero entries in the same order a dense product
+// would add them; b − A·d_p, Aᵀλ, H·d_p, H·x and E·d_p sum each row from
+// its entries when it has at most two (every MPC inequality row) and
+// through the kernel over the blocks that hold its nonzeros otherwise — so
+// every sum is bit-identical to the dense kernels. While forming A·Z the
+// condensing records which of its rows hold at most two nonzeros (about
+// 110 of the MPC's 192), and the active set dots those from their entries.
 //
 // Which variables are "dependent" and in what order they can be eliminated
 // is problem knowledge, declared by the NLP through a CondensingPlan (the
@@ -84,6 +92,14 @@ struct CondensingPlan {
   bool finalize();
 };
 
+/// Nonzero views of a QpProblem's H, E and A, gathered by the caller as
+/// often as each matrix changes: the SQP gathers H and A once per solve and
+/// E once per linearization, and reuses E's view for its second-order
+/// correction. They must match the problem's dense matrices.
+struct QpNonzeros {
+  num::SparseRows h, e, a;
+};
+
 struct CondensedQpOptions {
   /// Minimum pivot magnitude accepted when triangularizing E.
   double min_pivot = 1e-8;
@@ -116,35 +132,44 @@ class CondensedQpSolver {
   /// active set, and active_set_changes into `counters`. A successful
   /// result carries the final working set, ascending, in active_ineq — the
   /// seed for the next subproblem.
-  QpResult solve(const QpProblem& qp, const CondensingPlan& plan,
-                 const CondensedQpOptions& options, QpPerfCounters& counters,
-                 const QpWarmStart* warm_start);
+  QpResult solve(const QpProblem& qp, const QpNonzeros& nz,
+                 const CondensingPlan& plan, const CondensedQpOptions& options,
+                 QpPerfCounters& counters, const QpWarmStart* warm_start);
 
   std::size_t bytes() const;
 
  private:
-  /// Build Z, H_r = ZᵀHZ (+ Cholesky), A_r = A·Z and the dual-recovery
-  /// tables from `qp`. Returns false when E cannot be triangularized in
-  /// plan order or H_r is not positive definite.
-  bool condense(const QpProblem& qp, const CondensingPlan& plan,
-                double min_pivot);
-  /// out := m·Z over the nonzeros of m and Z (needs z_ and its index).
-  void times_z(const num::Matrix& m, num::Matrix& out) const;
+  /// Build Z, H_r = ZᵀHZ (+ Cholesky), A_r = A·Z with its short rows, and
+  /// the dual-recovery tables from `qp` and its nonzero views. Returns false
+  /// when E cannot be triangularized in plan order or H_r is not positive
+  /// definite.
+  bool condense(const QpProblem& qp, const QpNonzeros& nz,
+                const CondensingPlan& plan, double min_pivot);
+  /// out := M·Z over the nonzeros of M and Z (needs z_nz_). With
+  /// `short_rows`, also records the rows of `out` that hold at most two
+  /// nonzeros, from the columns the products touch.
+  void times_z(const num::SparseRows& m, num::Matrix& out,
+               num::ShortRows* short_rows);
 
   // The condensed problem.
   num::Matrix z_;    ///< num_vars × num_free null-space basis, E·Z = 0
   num::Matrix hz_;   ///< H·Z
   num::Matrix h_r_;  ///< ZᵀHZ
   num::Matrix a_r_;  ///< A·Z
+  num::ShortRows a_r_short_;  ///< A·Z's rows with at most two nonzeros
   num::CholeskyFactorization chol_hr_;
   std::vector<double> pivots_;  ///< E(dep_rows[i], dep_cols[i])
+  /// Elimination step of each variable: i for dep_cols[i], num_eq() for a
+  /// free variable.
+  std::vector<std::size_t> dep_step_;
   // Dual recovery: for elimination step i, the sub-column nonzeros
   // E(dep_rows[j], dep_cols[i]) with j > i, flattened CSR-style.
   std::vector<std::size_t> col_ptr_, col_j_;
   std::vector<double> col_val_;
-  // Nonzeros of Z by row: z_nz_ptr_[k]..z_nz_ptr_[k+1] index the columns
-  // t with Z(k, t) != 0, ascending.
-  std::vector<std::size_t> z_nz_ptr_, z_nz_col_;
+  num::SparseRows z_nz_;  ///< Z's nonzeros by row
+  /// times_z scratch: the last output row that touched each column.
+  std::vector<std::size_t> touched_by_;
+  std::vector<std::size_t> fill_;  ///< dual-recovery table fill cursors
 
   DenseActiveSetSolver active_set_;
 

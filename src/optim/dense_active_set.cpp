@@ -93,8 +93,22 @@ void SchurCholesky::solve_in_place(double* b) const {
 // ---------------------------------------------------------------------------
 // DenseActiveSetSolver
 
+namespace {
+
+// Row i of A times x in dot_span's bits: from the row's entries when
+// `a_short` lists it (see num::ShortRows), through the kernel otherwise.
+double row_dot(const num::Matrix& a, const num::ShortRows* a_short,
+               std::size_t i, const double* x) {
+  if (a_short != nullptr && a_short->is_short(i)) return a_short->dot(i, x);
+  return num::dot_span(a.row_ptr(i), x, a.cols());
+}
+
+}  // namespace
+
 bool DenseActiveSetSolver::try_add(const num::CholeskyFactorization& h_chol,
-                                   const num::Matrix& a, std::size_t idx,
+                                   const num::Matrix& a,
+                                   const num::ShortRows* a_short,
+                                   std::size_t idx,
                                    double singular_tolerance) {
   const std::size_t n = a.cols();
   const double* a_idx = a.row_ptr(idx);
@@ -105,8 +119,8 @@ bool DenseActiveSetSolver::try_add(const num::CholeskyFactorization& h_chol,
   const std::size_t nw = active_.size();
   cross_.resize(std::max<std::size_t>(nw, 1));
   for (std::size_t t = 0; t < nw; ++t)
-    cross_[t] = num::dot_span(a.row_ptr(active_[t]), hinv_new_.ptr(), n);
-  const double diag = num::dot_span(a_idx, hinv_new_.ptr(), n);
+    cross_[t] = row_dot(a, a_short, active_[t], hinv_new_.ptr());
+  const double diag = row_dot(a, a_short, idx, hinv_new_.ptr());
   const double tol = singular_tolerance * std::max(std::abs(diag), 1.0);
   if (!schur_.append(cross_.data(), diag, tol)) return false;
 
@@ -139,12 +153,14 @@ void DenseActiveSetSolver::ensure_hinv_rows(std::size_t rows,
 
 DenseActiveSetOutput DenseActiveSetSolver::solve(
     const num::CholeskyFactorization& h_chol, const num::Matrix& h,
-    const num::Matrix& a, const num::Vector& g, const num::Vector& b,
-    const std::vector<std::size_t>& warm_active,
+    const num::Matrix& a, const num::ShortRows* a_short, const num::Vector& g,
+    const num::Vector& b, const std::vector<std::size_t>& warm_active,
     const DenseActiveSetOptions& options, num::Vector& v,
     num::Vector& lambda) {
   const std::size_t n = a.cols();
   const std::size_t m = a.rows();
+  EVC_EXPECT(a_short == nullptr || a_short->len.size() == m,
+             "dense active set: short-row table does not match A");
   EVC_EXPECT(h_chol.ok() && h_chol.dim() == n,
              "dense active set: H factor missing or wrong dimension");
   EVC_EXPECT(h.rows() == n && h.cols() == n,
@@ -173,7 +189,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
   for (std::size_t idx : warm_active) {
     if (idx >= m || in_active_[idx] != 0) continue;
     if (active_.size() >= cap) break;
-    try_add(h_chol, a, idx, options.singular_tolerance);
+    try_add(h_chol, a, a_short, idx, options.singular_tolerance);
   }
 
   // Phase 0 — prune the seed down to a dual-feasible working set: solve the
@@ -190,8 +206,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
     const std::size_t nw = active_.size();
     lam_w_.assign(nw, 0.0);
     for (std::size_t t = 0; t < nw; ++t)
-      lam_w_[t] =
-          num::dot_span(a.row_ptr(active_[t]), w_.ptr(), n) - b[active_[t]];
+      lam_w_[t] = row_dot(a, a_short, active_[t], w_.ptr()) - b[active_[t]];
     schur_.solve_in_place(lam_w_.data());
     to_remove_.clear();
     for (std::size_t t = 0; t < nw; ++t)
@@ -218,12 +233,11 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
   // drop that row and retry p against the smaller set). The dual objective
   // strictly increases with every step, so no working set repeats.
   for (;;) {
-    resid_.assign(m, 0.0);
-    num::gemv_span(1.0, a.ptr(), n, m, n, v.ptr(), resid_.ptr());
+    resid_.resize(m);
     std::size_t p = m;
     double worst = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
-      resid_[i] -= b[i];
+      resid_[i] = row_dot(a, a_short, i, v.ptr()) - b[i];
       const double scaled = resid_[i] / std::max(1.0, std::abs(b[i]));
       if (in_active_[i] == 0 && scaled > worst) {
         worst = scaled;
@@ -237,7 +251,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
     rhs_n_.assign(n, 0.0);
     for (std::size_t j = 0; j < n; ++j) rhs_n_[j] = a_p[j];
     h_chol.solve_into(rhs_n_, hinv_new_);
-    const double diag = num::dot_span(a_p, hinv_new_.ptr(), n);
+    const double diag = row_dot(a, a_short, p, hinv_new_.ptr());
     double s_p = resid_[p];
     double lam_p = 0.0;
 
@@ -249,7 +263,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
       const std::size_t nw = active_.size();
       cross_.resize(std::max<std::size_t>(nw, 1));
       for (std::size_t t = 0; t < nw; ++t)
-        cross_[t] = num::dot_span(a.row_ptr(active_[t]), hinv_new_.ptr(), n);
+        cross_[t] = row_dot(a, a_short, active_[t], hinv_new_.ptr());
       r_w_.assign(cross_.begin(),
                   cross_.begin() + static_cast<std::ptrdiff_t>(nw));
       schur_.solve_in_place(r_w_.data());
@@ -335,9 +349,9 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
     // δλ = S⁻¹(A_W·t − (b_W − A_W·v)), δv = t − H⁻¹A_Wᵀ·δλ.
     r_w_.assign(nw_fin, 0.0);
     for (std::size_t t = 0; t < nw_fin; ++t) {
-      const double* a_t = a.row_ptr(active_[t]);
-      r_w_[t] = num::dot_span(a_t, hinv_new_.ptr(), n) -
-                (b[active_[t]] - num::dot_span(a_t, v.ptr(), n));
+      const std::size_t i = active_[t];
+      r_w_[t] = row_dot(a, a_short, i, hinv_new_.ptr()) -
+                (b[i] - row_dot(a, a_short, i, v.ptr()));
     }
     schur_.solve_in_place(r_w_.data());
     num::axpy_span(1.0, hinv_new_.ptr(), v.ptr(), n);
@@ -346,9 +360,9 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
       lam_w_[t] += r_w_[t];
     }
   }
-  resid_.assign(m, 0.0);
-  num::gemv_span(1.0, a.ptr(), n, m, n, v.ptr(), resid_.ptr());
-  for (std::size_t i = 0; i < m; ++i) resid_[i] -= b[i];
+  resid_.resize(m);
+  for (std::size_t i = 0; i < m; ++i)
+    resid_[i] = row_dot(a, a_short, i, v.ptr()) - b[i];
 
   lambda.assign(m, 0.0);
   for (std::size_t t = 0; t < active_.size(); ++t)

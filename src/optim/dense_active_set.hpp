@@ -34,6 +34,14 @@
 // one feasibility scan. Matches the interior-point solution to tight
 // tolerance by construction (tests/dense_active_set_test asserts it).
 //
+// Rows of A with at most two nonzeros — about 110 of the condensed MPC's
+// 192, and most of a working set, since bounds on one input condense to one
+// entry — may be passed as a num::ShortRows table by a caller that knows
+// them (the condensing, which forms A). Every dot with such a row is then
+// formed from its entries, with the blocked kernel's bits; a caller with no
+// such structure passes none and pays for no scan. The Cholesky solves
+// H⁻¹a_p skip the zero prefix of a_p (CholeskyFactorization::solve_into).
+//
 // The Cholesky factor of S is maintained incrementally: adding a constraint
 // appends one row (a triangular solve — arithmetic identical to the
 // corresponding column step of a fresh factorization), removing one
@@ -130,7 +138,9 @@ class DenseActiveSetSolver {
   /// Solve min ½vᵀHv + gᵀv s.t. Av ≤ b. `h_chol` is the caller-owned
   /// Cholesky factor of H and `h` the matrix it factors — needed for the
   /// final KKT refinement, which polishes away the rounding error the
-  /// incremental dual updates accumulate. `warm_active`
+  /// incremental dual updates accumulate. `a_short`, when not null, lists
+  /// A's rows with at most two nonzeros (one entry per row of A), whose
+  /// dots are then formed from those entries. `warm_active`
   /// seeds the working set with constraint indices, added in the order
   /// given (a row numerically dependent on those before it is skipped; the
   /// condensed backend passes the previous working set united with its
@@ -144,6 +154,7 @@ class DenseActiveSetSolver {
   /// same solves bit-for-bit.
   DenseActiveSetOutput solve(const num::CholeskyFactorization& h_chol,
                              const num::Matrix& h, const num::Matrix& a,
+                             const num::ShortRows* a_short,
                              const num::Vector& g, const num::Vector& b,
                              const std::vector<std::size_t>& warm_active,
                              const DenseActiveSetOptions& options,
@@ -159,7 +170,8 @@ class DenseActiveSetSolver {
 
  private:
   bool try_add(const num::CholeskyFactorization& h_chol, const num::Matrix& a,
-               std::size_t idx, double singular_tolerance);
+               const num::ShortRows* a_short, std::size_t idx,
+               double singular_tolerance);
   void remove_at(std::size_t pos);
   void ensure_hinv_rows(std::size_t rows, std::size_t cols);
 

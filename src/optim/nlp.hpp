@@ -1,8 +1,7 @@
 // Nonlinear program interface consumed by the SQP solver.
 //
-//   minimize    f(x)            (smooth, cheap exact Hessian available —
-//                                the MPC cost is quadratic, so its Hessian
-//                                is constant)
+//   minimize    f(x)            (smooth with a constant Hessian — the MPC
+//                                cost is quadratic)
 //   subject to  c(x) = 0        (smooth nonlinear equalities; the MPC
 //                                dynamics are bilinear)
 //               A x ≤ b         (linear inequalities: actuator bounds,
@@ -27,7 +26,8 @@ class NlpProblem {
 
   virtual double cost(const num::Vector& x) const = 0;
   virtual num::Vector cost_gradient(const num::Vector& x) const = 0;
-  /// Hessian of the cost at x. Must be symmetric; the solver adds
+  /// Hessian of the cost. Must be symmetric and the same at every x: the
+  /// SQP solver reads it once per solve, at the initial point. It adds
   /// regularization as needed, so positive semidefinite is sufficient.
   virtual num::Matrix cost_hessian(const num::Vector& x) const = 0;
 

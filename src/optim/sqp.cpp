@@ -90,21 +90,29 @@ MeritEval evaluate_merit(const NlpProblem& problem,
 // J·p = −c. Returns false when J·Jᵀ is numerically singular (redundant or
 // rank-deficient linearization) or the correction is non-finite — the
 // caller then falls back to plain backtracking. J has a handful of
-// nonzeros per row, so both products walk each row's nonzeros only: entry
-// (i, k) of J·Jᵀ merges rows i and k and adds the shared-column products in
-// ascending column order, the order of the dense sum minus its exact-zero
-// terms, so the bits match the dense product.
-bool solve_least_norm_restoration(const num::Matrix& j, const num::Vector& c,
-                                  SocWorkspace& ws) {
-  const std::size_t me = j.rows(), n = j.cols();
-  ws.j.assign(j);
-  const std::vector<std::size_t>& row_ptr = ws.j.row_ptr;
-  const std::vector<std::size_t>& cols = ws.j.cols;
-  const std::vector<double>& vals = ws.j.vals;
+// nonzeros per row, so both products walk each row's nonzeros (`j`, the
+// iteration's view of J) only: entry (i, k) of J·Jᵀ merges rows i and k and
+// adds the shared-column products in ascending column order, the order of
+// the dense sum minus its exact-zero terms, so the bits match the dense
+// product.
+bool solve_least_norm_restoration(const num::SparseRows& j,
+                                  const num::Vector& c, SocWorkspace& ws) {
+  const std::size_t me = j.rows(), n = j.num_cols;
+  const std::vector<std::size_t>& row_ptr = j.row_ptr;
+  const std::vector<std::size_t>& cols = j.cols;
+  const std::vector<double>& vals = j.vals;
 
   ws.jjt.resize(me, me);
   for (std::size_t i = 0; i < me; ++i) {
+    if (row_ptr[i] == row_ptr[i + 1]) continue;
     for (std::size_t k = i; k < me; ++k) {
+      // Rows whose column ranges do not overlap share no column; their
+      // entry keeps the +0 that resize() wrote. J is banded, so that is
+      // most pairs.
+      if (row_ptr[k] == row_ptr[k + 1] ||
+          cols[row_ptr[k]] > cols[row_ptr[i + 1] - 1] ||
+          cols[row_ptr[k + 1] - 1] < cols[row_ptr[i]])
+        continue;
       double acc = 0.0;
       std::size_t a = row_ptr[i], b = row_ptr[k];
       while (a < row_ptr[i + 1] && b < row_ptr[k + 1]) {
@@ -147,11 +155,19 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
   result.x = x0;
   double nu = options_.initial_penalty;
 
-  // The inequality system is fixed across iterations: copy it into the
-  // reused QP subproblem, and gather its nonzeros for the merit, once per
-  // solve.
+  // The cost Hessian and the inequality system are fixed across
+  // iterations: regularize and copy them into the reused QP subproblem, and
+  // gather their nonzeros, once per solve. H's view is only read by the
+  // condensed path, so it is gathered only when that path can run.
+  const CondensingPlan* plan = options_.backend == QpBackend::kCondensed
+                                   ? problem.condensing_plan()
+                                   : nullptr;
+  qp_.h = problem.cost_hessian(x0);
+  for (std::size_t i = 0; i < n; ++i)
+    qp_.h(i, i) += options_.hessian_regularization;
+  if (plan != nullptr) nz_.h.assign(qp_.h);
   qp_.a_mat.copy_from(a_mat);
-  a_rows_.assign(a_mat);
+  nz_.a.assign(a_mat);
 
   // Dual seed for the first QP subproblem (receding-horizon warm start).
   bool have_qp_warm = false;
@@ -163,7 +179,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
     have_qp_warm = true;
   }
 
-  MeritEval cur = evaluate_merit(problem, a_rows_, b_vec, result.x, ax_);
+  MeritEval cur = evaluate_merit(problem, nz_.a, b_vec, result.x, ax_);
   bool have_duals = false;
 
   const rt::Deadline deadline =
@@ -191,19 +207,16 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
 
     // QP subproblem in the step d:
     //   min ½dᵀHd + ∇fᵀd   s.t.  J·d = −c,  A·d ≤ b − A·x.
-    qp_.h = problem.cost_hessian(result.x);
-    for (std::size_t i = 0; i < n; ++i)
-      qp_.h(i, i) += options_.hessian_regularization;
+    // J is the only matrix that changes: gather its nonzeros once, for the
+    // condensing and the second-order correction alike.
     qp_.g = grad;
     qp_.e_mat = problem.eq_jacobian(result.x);
+    nz_.e.assign(qp_.e_mat);
     qp_.e_vec.resize(cur.c.size());
     for (std::size_t i = 0; i < cur.c.size(); ++i) qp_.e_vec[i] = -cur.c[i];
-    if (b_vec.empty()) {
-      qp_.b_vec.assign(0, 0.0);
-    } else {
-      num::gemv(-1.0, a_mat, result.x, 0.0, qp_.b_vec);
-      qp_.b_vec += b_vec;
-    }
+    qp_.b_vec.assign(b_vec.size(), 0.0);
+    nz_.a.gemv(-1.0, a_mat, result.x.ptr(), qp_.b_vec.ptr());
+    qp_.b_vec += b_vec;
 
     // The QP decision variable is the *step*, so the primal seed is zero;
     // the previous subproblem (or receding-horizon predecessor) seeds the
@@ -231,15 +244,17 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
     // Anything it cannot handle — no plan, stale structure, active-set
     // breakdown — falls through to the interior-point loop below, whose
     // regularize-and-retry covers the condensed failure modes too.
-    if (options_.backend == QpBackend::kCondensed) {
-      if (const CondensingPlan* plan = problem.condensing_plan()) {
-        qp_result = condensed_.solve(qp_, *plan, options_.condensed,
-                                     qp_ws_.counters_mut(), qp_seed);
-        solved = finite_result(qp_result);
-        if (!solved) ++qp_ws_.counters_mut().condensed_fallbacks;
-      }
+    if (plan != nullptr) {
+      qp_result = condensed_.solve(qp_, nz_, *plan, options_.condensed,
+                                   qp_ws_.counters_mut(), qp_seed);
+      solved = finite_result(qp_result);
+      if (!solved) ++qp_ws_.counters_mut().condensed_fallbacks;
     }
     if (!solved) {
+      // The retries convexify this subproblem only: H's diagonal is put
+      // back afterwards, so no extra regularization reaches a later one.
+      h_diag_.resize(n);
+      for (std::size_t i = 0; i < n; ++i) h_diag_[i] = qp_.h(i, i);
       double extra_reg = options_.hessian_regularization;
       for (int attempt = 0; attempt < 5; ++attempt) {
         qp_result = solve_qp(qp_, qp_opts, qp_ws_, qp_seed);
@@ -251,6 +266,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
         extra_reg = std::max(extra_reg * 100.0, 1e-6);
         for (std::size_t i = 0; i < n; ++i) qp_.h(i, i) += extra_reg;
       }
+      for (std::size_t i = 0; i < n; ++i) qp_.h(i, i) = h_diag_[i];
     }
     if (!qp_result.usable()) {
       result.status = SqpStatus::kQpFailure;
@@ -296,7 +312,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
       for (std::size_t ls = 0; ls < options_.max_line_search_steps; ++ls) {
         num::copy_into(result.x, candidate_);
         candidate_.add_scaled(t, d);
-        cand = evaluate_merit(problem, a_rows_, b_vec, candidate_, ax_);
+        cand = evaluate_merit(problem, nz_.a, b_vec, candidate_, ax_);
         bool accepted =
             cand.phi(nu) <= phi0 + 1e-4 * t * std::min(descent, 0.0);
         // Maratos guard (see docs/SEED_FAILURES.md): on a curved constraint
@@ -314,11 +330,11 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
              cand.eq_l1 > std::max(0.5 * cur.eq_l1,
                                    options_.constraint_tolerance))) {
           ++result.soc_tried;
-          if (solve_least_norm_restoration(qp_.e_mat, cand.c, soc_)) {
+          if (solve_least_norm_restoration(nz_.e, cand.c, soc_)) {
             num::copy_into(candidate_, soc_candidate_);
             soc_candidate_.add_scaled(1.0, soc_.p);
             MeritEval cand_soc =
-                evaluate_merit(problem, a_rows_, b_vec, soc_candidate_, ax_);
+                evaluate_merit(problem, nz_.a, b_vec, soc_candidate_, ax_);
             if (cand_soc.phi(nu) <= phi0 + 1e-4 * std::min(descent, 0.0) &&
                 (!accepted || cand_soc.phi(nu) < cand.phi(nu))) {
               num::copy_into(soc_candidate_, candidate_);

@@ -9,14 +9,19 @@
 //
 // Hot-path behaviour: the solver owns a persistent QpWorkspace and a reused
 // QP subproblem, so consecutive iterations (and consecutive solves on a
-// receding horizon) share storage. Each subproblem's multipliers and final
-// working set seed the next one — the condensed active set starts from the
-// working set united with the multiplier support, the interior-point
-// fallback from the multiplier values — and the solve returns both, so the
-// caller can carry them into the next receding-horizon solve. The merit
-// function forms A·x from A's nonzeros, gathered once per solve, and the
-// merit value of an accepted line-search candidate is cached so the next
-// iteration does not re-evaluate cost/constraints at the same point.
+// receding horizon) share storage, and each iteration pays only for what
+// changed. The cost Hessian is read and regularized once per solve (an
+// interior-point retry's extra regularization is undone before the next
+// subproblem), and the nonzeros of H and A are gathered once per solve and
+// those of J once per iteration (QpNonzeros): the condensing, b − A·x, the
+// merit's A·x and the second-order correction's J·Jᵀ all walk them, with
+// the dense kernels' bits. Each subproblem's multipliers and final working
+// set seed the next one — the condensed active set starts from the working
+// set united with the multiplier support, the interior-point fallback from
+// the multiplier values — and the solve returns both, so the caller can
+// carry them into the next receding-horizon solve. The merit value of an
+// accepted line-search candidate is cached so the next iteration does not
+// re-evaluate cost/constraints at the same point.
 #pragma once
 
 #include <cstddef>
@@ -106,11 +111,11 @@ struct SqpWarmStart {
   }
 };
 
-/// Reused buffers of the second-order correction: J's nonzeros by row,
-/// J·Jᵀ and its factorization, the restoration multipliers λ, and the
-/// correction step p = Jᵀ·λ.
+/// Reused buffers of the second-order correction: J·Jᵀ and its
+/// factorization, the restoration multipliers λ, and the correction step
+/// p = Jᵀ·λ. J's nonzeros are the iteration's view, gathered once for the
+/// condensing and this correction alike.
 struct SocWorkspace {
-  num::SparseRows j;
   num::Matrix jjt;
   num::LuFactorization lu;
   num::Vector rhs, lambda, p;
@@ -152,7 +157,9 @@ class SqpSolver {
   mutable QpProblem qp_;
   mutable QpWarmStart qp_warm_;
   mutable num::Vector candidate_;
-  mutable num::SparseRows a_rows_;  ///< A's nonzeros, for the merit's A·x
+  /// Nonzeros of H and A (once per solve) and J (once per iteration).
+  mutable QpNonzeros nz_;
+  mutable num::Vector h_diag_;  ///< H's diagonal, kept across QP retries
   mutable num::Vector ax_;
   mutable SocWorkspace soc_;
   mutable num::Vector soc_candidate_;

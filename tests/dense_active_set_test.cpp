@@ -179,8 +179,8 @@ TEST(DenseActiveSetTest, MatchesInteriorPointOnRandomQps) {
     ASSERT_TRUE(h_chol.factorize(qp.h));
     opt::DenseActiveSetSolver solver;
     num::Vector v, lambda;
-    const auto out = solver.solve(h_chol, qp.h, qp.a, qp.g, qp.b, {}, {}, v,
-                                  lambda);
+    const auto out = solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b, {},
+                                  {}, v, lambda);
     ASSERT_TRUE(out.usable()) << "seed " << seed << " status "
                               << static_cast<int>(out.status) << " iters "
                               << out.iterations;
@@ -229,8 +229,8 @@ TEST_P(SolverCrossValidation, MatchesInteriorPointOptimum) {
   ASSERT_TRUE(h_chol.factorize(p.h));
   opt::DenseActiveSetSolver solver;
   num::Vector v, lambda;
-  const auto as = solver.solve(h_chol, p.h, p.a_mat, p.g, p.b_vec, {}, {}, v,
-                               lambda);
+  const auto as = solver.solve(h_chol, p.h, p.a_mat, nullptr, p.g, p.b_vec,
+                               {}, {}, v, lambda);
   ASSERT_TRUE(as.usable()) << "seed " << GetParam();
 
   // Strictly convex → unique optimum: both solvers must agree.
@@ -251,14 +251,14 @@ TEST(DenseActiveSetTest, WarmStartConfirmsInOneSweep) {
   ASSERT_TRUE(h_chol.factorize(qp.h));
   opt::DenseActiveSetSolver solver;
   num::Vector v, lambda;
-  const auto cold = solver.solve(h_chol, qp.h, qp.a, qp.g, qp.b, {}, {}, v,
-                                 lambda);
+  const auto cold = solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b, {},
+                                 {}, v, lambda);
   ASSERT_TRUE(cold.usable());
   const std::vector<std::size_t> warm = solver.active_set();
 
   num::Vector v2, lambda2;
-  const auto rewarm = solver.solve(h_chol, qp.h, qp.a, qp.g, qp.b, warm, {}, v2,
-                                   lambda2);
+  const auto rewarm = solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b,
+                                   warm, {}, v2, lambda2);
   ASSERT_TRUE(rewarm.usable());
   EXPECT_EQ(rewarm.iterations, 1u);
   EXPECT_EQ(rewarm.set_changes, 0u);
@@ -276,7 +276,8 @@ TEST(DenseActiveSetTest, UnconstrainedWhenNoRowBinds) {
   ASSERT_TRUE(h_chol.factorize(qp.h));
   opt::DenseActiveSetSolver solver;
   num::Vector v, lambda;
-  const auto out = solver.solve(h_chol, qp.h, qp.a, qp.g, qp.b, {}, {}, v, lambda);
+  const auto out =
+      solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b, {}, {}, v, lambda);
   ASSERT_TRUE(out.usable());
   EXPECT_TRUE(solver.active_set().empty());
   // v = H⁻¹(−g).

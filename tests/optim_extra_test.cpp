@@ -40,7 +40,7 @@ DenseActiveSetOutput solve_dense(const QpProblem& p, Vector& x) {
   EXPECT_TRUE(h_chol.factorize(p.h));
   DenseActiveSetSolver solver;
   Vector lambda;
-  return solver.solve(h_chol, p.h, a, p.g, b, {}, {}, x, lambda);
+  return solver.solve(h_chol, p.h, a, nullptr, p.g, b, {}, {}, x, lambda);
 }
 
 // --- Degenerate QPs ---
