@@ -255,6 +255,8 @@ hvac::HvacInputs MpcClimateController::decide(
   stats_.solver = solver_.qp_counters();
   stats_.solver_workspace_bytes = solver_.workspace_bytes();
   plan_span.arg("sqp_iterations", static_cast<double>(result.iterations));
+  plan_span.arg("qp_iterations",
+                static_cast<double>(result.qp_iterations_total));
   plan_span.arg("qp_fallbacks",
                 static_cast<double>(stats_.solver.condensed_fallbacks -
                                     prev_counters.condensed_fallbacks));
