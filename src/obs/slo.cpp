@@ -7,7 +7,7 @@
 
 namespace evc::obs {
 
-void SloMonitor::Window::push(bool is_bad) {
+void SloWindow::push(bool is_bad) {
   if (ring.empty()) return;
   if (filled == ring.size()) {
     bad -= ring[next];
@@ -49,7 +49,7 @@ SloMonitor::SloMonitor(std::vector<SloRuleOptions> rules,
   }
 }
 
-double SloMonitor::burn(const Window& w, const Rule& r) const {
+double SloMonitor::burn(const SloWindow& w, const Rule& r) const {
   return w.bad_fraction() / (1.0 - r.opts.objective);
 }
 

@@ -53,6 +53,25 @@ struct SloRuleOptions {
   std::size_t min_samples = 0;
 };
 
+/// Fixed-size good/bad ring with an O(1) running bad count: the windowed
+/// primitive under every SLO rule, and under svc::LoadGovernor, whose
+/// p99-vs-threshold tests are counts of window samples past a threshold.
+/// Size `ring` to the window length before the first push; an empty ring
+/// ignores pushes.
+struct SloWindow {
+  std::vector<std::uint8_t> ring;
+  std::size_t next = 0;
+  std::size_t filled = 0;
+  std::size_t bad = 0;
+
+  void push(bool is_bad);
+  double bad_fraction() const {
+    return filled == 0 ? 0.0
+                       : static_cast<double>(bad) /
+                             static_cast<double>(filled);
+  }
+};
+
 /// One fire/clear transition. `firing` distinguishes the two; `trace_id`
 /// is the last bad sample's request trace (0 when tracing is off).
 struct SloAlert {
@@ -94,24 +113,10 @@ class SloMonitor {
   std::uint64_t alerts_cleared() const;
 
  private:
-  /// Fixed-size good/bad ring with an O(1) running bad count.
-  struct Window {
-    std::vector<std::uint8_t> ring;
-    std::size_t next = 0;
-    std::size_t filled = 0;
-    std::size_t bad = 0;
-
-    void push(bool is_bad);
-    double bad_fraction() const {
-      return filled == 0 ? 0.0
-                         : static_cast<double>(bad) /
-                               static_cast<double>(filled);
-    }
-  };
   struct Rule {
     SloRuleOptions opts;
-    Window fast;
-    Window slow;
+    SloWindow fast;
+    SloWindow slow;
     bool firing = false;
     std::uint64_t samples = 0;
     std::uint64_t last_bad_trace = 0;
@@ -120,7 +125,7 @@ class SloMonitor {
     MetricsRegistry::Id firing_gauge = 0;
   };
 
-  double burn(const Window& w, const Rule& r) const;
+  double burn(const SloWindow& w, const Rule& r) const;
 
   mutable std::mutex mutex_;
   std::vector<Rule> rules_;
