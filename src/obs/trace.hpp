@@ -196,7 +196,7 @@ class TraceEnvGuard {
 #if defined(EVC_OBS_NO_TRACING)
 #define EVC_TRACE_SPAN(name)
 #define EVC_TRACE_SPAN_VAR(var, name) ::evc::obs::NullSpan var(name)
-#define EVC_TRACE_INSTANT(name)
+#define EVC_TRACE_INSTANT(...)
 #define EVC_TRACE_COUNTER(name, value)
 #else
 #define EVC_TRACE_CONCAT_IMPL(a, b) a##b
@@ -206,10 +206,11 @@ class TraceEnvGuard {
   ::evc::obs::TraceSpan EVC_TRACE_CONCAT(evc_trace_span_, __LINE__)(name)
 /// Named RAII span, when the scope wants to attach an argument later.
 #define EVC_TRACE_SPAN_VAR(var, name) ::evc::obs::TraceSpan var(name)
-#define EVC_TRACE_INSTANT(name)                                         \
+/// Instant event: EVC_TRACE_INSTANT(name) or EVC_TRACE_INSTANT(name, value).
+#define EVC_TRACE_INSTANT(...)                                          \
   do {                                                                  \
     ::evc::obs::Tracer& evc_trace_t = ::evc::obs::Tracer::global();     \
-    if (evc_trace_t.enabled()) evc_trace_t.instant(name);               \
+    if (evc_trace_t.enabled()) evc_trace_t.instant(__VA_ARGS__);        \
   } while (0)
 #define EVC_TRACE_COUNTER(name, value)                                  \
   do {                                                                  \

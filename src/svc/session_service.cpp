@@ -1,5 +1,6 @@
 #include "svc/session_service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -324,9 +325,9 @@ void SessionService::process(Shard& shard, Request& request) {
 }
 
 std::size_t SessionService::pick_tier_floor(const Shard& shard,
+                                            std::size_t governor_floor,
                                             double remaining_s) const {
-  std::size_t floor = governor_.floor();
-  if (floor >= num_tiers_) floor = num_tiers_ - 1;
+  const std::size_t floor = std::min(governor_floor, num_tiers_ - 1);
   if (!std::isfinite(remaining_s)) return floor;  // no deadline
   // Cheapest acceptable tier: start at the governor's floor and keep
   // demoting until the smoothed cost (× safety) fits what is left of the
@@ -364,13 +365,18 @@ StepResult SessionService::execute(Shard& shard, const Request& request) {
     return result;
   }
 
-  // Deadline-aware scheduling: shed now rather than miss later.
+  // Deadline-aware scheduling: shed now rather than miss later. The
+  // governor floor and the budget are read once, so the svc.step args
+  // record exactly what the choice saw (budget −1: no deadline).
+  const std::size_t governor_floor = governor_.floor();
+  const double remaining_s = request.deadline.remaining_s();
+  const double budget_s = std::isfinite(remaining_s) ? remaining_s : -1.0;
   const std::size_t floor =
-      pick_tier_floor(shard, request.deadline.remaining_s());
+      pick_tier_floor(shard, governor_floor, remaining_s);
   if (floor >= num_tiers_) {
     counters_->shed.fetch_add(1, std::memory_order_relaxed);
     reg.add(metric_ids_->shed);
-    EVC_TRACE_INSTANT("svc.shed");
+    EVC_TRACE_INSTANT("svc.shed", budget_s);
     result.status = StepStatus::kShed;
     result.retry_after_s = options_.retry_after_s;
     // A shed burns error budget and is worth a black-box dump: the
@@ -484,6 +490,9 @@ StepResult SessionService::execute(Shard& shard, const Request& request) {
     advance_s = seconds_since(t_advance);
     step_span.arg(
         "tier", static_cast<double>(shard.controller->last_applied_tier()));
+    step_span.arg("floor", static_cast<double>(floor));
+    step_span.arg("governor_floor", static_cast<double>(governor_floor));
+    step_span.arg("budget_s", budget_s);
   }
   result.status = StepStatus::kOk;
   result.applied_tier = shard.controller->last_applied_tier();

@@ -316,7 +316,8 @@ class SessionService {
   void process(Shard& shard, Request& request);
   StepResult execute(Shard& shard, const Request& request);
   void evict_overflow(Shard& shard);
-  std::size_t pick_tier_floor(const Shard& shard, double remaining_s) const;
+  std::size_t pick_tier_floor(const Shard& shard, std::size_t governor_floor,
+                              double remaining_s) const;
   void reject(Request& request);
   void quiesce_barrier();
   /// Feed one outcome to the SLO monitor and handle any transition
