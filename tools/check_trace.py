@@ -22,6 +22,15 @@ Subcommands:
     family declared by a preceding # TYPE line (declared exactly once), and
     counter families must carry the _total suffix.
 
+  explain TRACE.json [TRACE_ID]
+    Explain one request from its trace alone: its spans as a parent->child
+    tree, each with its duration, its self time (duration minus the part
+    its children cover) and every arg, then its instants (a shed records
+    the remaining budget as its value), then the sum of the self times
+    against the root span's duration. Without TRACE_ID, explains the
+    earliest request whose spans include svc.step. Exit 1 when no span
+    carries the id.
+
   overhead OFF.json ON.json [--max-regression 0.03]
     Compare two google-benchmark JSON reports (same benchmark, run with the
     tracer disabled vs enabled) and fail when the median real_time regresses
@@ -248,6 +257,89 @@ def cmd_promlint(args):
     return 0
 
 
+# Causal ids: the tree shows them, so explain does not list them as args.
+LINK_ARGS = ("trace_id", "span_id", "parent_span_id")
+
+
+def covered_us(start, end, intervals):
+    """Length of the union of `intervals` clipped to [start, end]."""
+    total, reach = 0.0, start
+    for lo, hi in sorted(intervals):
+        lo, hi = max(lo, reach), min(hi, end)
+        if hi > lo:
+            total += hi - lo
+            reach = hi
+    return total
+
+
+def cmd_explain(args):
+    with open(args.trace) as f:
+        events = json.load(f).get("traceEvents", [])
+    by_trace = {}
+    for ev in events:
+        tid = ev.get("args", {}).get("trace_id")
+        if tid and ev.get("ph") in ("X", "i"):
+            by_trace.setdefault(tid, []).append(ev)
+
+    tid = args.trace_id
+    if tid is None:
+        stepped = [t for t, evs in by_trace.items()
+                   if any(e["ph"] == "X" and e.get("name") == "svc.step"
+                          for e in evs)]
+        if not stepped:
+            print(f"FAIL: {args.trace}: no request's spans include svc.step")
+            return 1
+        tid = min(stepped, key=lambda t: min(e["ts"] for e in by_trace[t]))
+    spans = [e for e in by_trace.get(tid, []) if e["ph"] == "X"]
+    instants = [e for e in by_trace.get(tid, []) if e["ph"] == "i"]
+    if not spans:
+        print(f"FAIL: {args.trace}: no span carries trace id {tid}")
+        return 1
+
+    ids = {e["args"].get("span_id") for e in spans}
+    children, roots = {}, []
+    for e in sorted(spans, key=lambda e: e["ts"]):
+        parent = e["args"].get("parent_span_id", 0)
+        if parent in ids:
+            children.setdefault(parent, []).append(e)
+        else:
+            roots.append(e)  # the request's root, or a ring-truncated orphan
+
+    def fmt_args(a):
+        return " ".join(f"{k}={v:g}" for k, v in a.items()
+                        if k not in LINK_ARGS)
+
+    t0 = min(e["ts"] for e in spans)
+    self_sum = 0.0
+
+    def show(e, depth):
+        nonlocal self_sum
+        kids = children.get(e["args"].get("span_id"), [])
+        end = e["ts"] + e["dur"]
+        self_us = e["dur"] - covered_us(
+            e["ts"], end, [(k["ts"], k["ts"] + k["dur"]) for k in kids])
+        self_sum += self_us
+        label = "  " * depth + e["name"]
+        print(f"  {label:<32} at +{e['ts'] - t0:10.1f} us  "
+              f"dur {e['dur']:10.1f} us  self {self_us:10.1f} us  "
+              f"{fmt_args(e['args'])}".rstrip())
+        for k in kids:
+            show(k, depth + 1)
+
+    print(f"trace {tid}: {len(spans)} span(s), {len(instants)} instant(s)")
+    for root in roots:
+        show(root, 0)
+    for e in sorted(instants, key=lambda e: e["ts"]):
+        print(f"  instant {e['name']} at +{e['ts'] - t0:.1f} us  "
+              f"{fmt_args(e['args'])}".rstrip())
+    root = roots[0]
+    extent = max(e["ts"] + e["dur"] for e in spans) - t0
+    print(f"self times sum to {self_sum:.1f} us; root span {root['name']} "
+          f"lasts {root['dur']:.1f} us; the request's spans run "
+          f"{extent:.1f} us from first start to last end")
+    return 0
+
+
 def median_real_times(path):
     """benchmark name -> median real_time from a google-benchmark report."""
     with open(path) as f:
@@ -307,6 +399,12 @@ def main():
                        help="lint a Prometheus text-exposition scrape")
     p.add_argument("metrics")
     p.set_defaults(func=cmd_promlint)
+
+    e = sub.add_parser("explain",
+                       help="explain one request's spans from a trace")
+    e.add_argument("trace")
+    e.add_argument("trace_id", nargs="?", type=int, default=None)
+    e.set_defaults(func=cmd_explain)
 
     o = sub.add_parser("overhead", help="compare tracer-off vs tracer-on")
     o.add_argument("off")
