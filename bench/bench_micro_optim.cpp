@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): per-call latency of the hot kernels
-// behind the figures — the dense QP solve, a full SQP solve of one MPC
-// window, a single MPC planning step, and the plant/battery models.
+// behind the figures — a full SQP solve of one MPC window, a single MPC
+// planning step, and the plant/battery models.
 //
 // These bound the controller's real-time budget: the paper's methodology
 // is only deployable if a plan completes well within the control period.
@@ -12,11 +12,9 @@
 #include "core/mpc_controller.hpp"
 #include "hvac/hvac_plant.hpp"
 #include "optim/condensed_qp.hpp"
-#include "optim/qp.hpp"
 #include "optim/sqp.hpp"
 #include "powertrain/power_train.hpp"
 #include "obs/trace.hpp"
-#include "util/random.hpp"
 
 namespace {
 
@@ -28,55 +26,6 @@ using namespace evc;
 void set_backend_label(benchmark::State& state, opt::QpBackend backend) {
   state.SetLabel(std::string("backend=") + opt::to_string(backend));
 }
-
-opt::QpProblem random_qp(std::size_t n, std::size_t mi, std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  opt::QpProblem p;
-  num::Matrix g(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1, 1);
-  p.h = g.transposed() * g;
-  for (std::size_t i = 0; i < n; ++i) p.h(i, i) += 1.0;
-  p.g = num::Vector(n);
-  for (std::size_t i = 0; i < n; ++i) p.g[i] = rng.uniform(-2, 2);
-  p.e_mat = num::Matrix(0, n);
-  p.e_vec = num::Vector(0);
-  p.a_mat = num::Matrix(mi, n);
-  p.b_vec = num::Vector(mi);
-  for (std::size_t r = 0; r < mi; ++r) {
-    for (std::size_t c = 0; c < n; ++c) p.a_mat(r, c) = rng.uniform(-1, 1);
-    p.b_vec[r] = rng.uniform(0.5, 2.0);
-  }
-  return p;
-}
-
-void BM_QpSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto problem = random_qp(n, 2 * n, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(opt::solve_qp(problem));
-  }
-}
-BENCHMARK(BM_QpSolve)->Arg(20)->Arg(60)->Arg(134);
-
-// Same QP through a persistent workspace with the previous solution as a
-// warm start — the receding-horizon usage pattern (allocation-free at
-// steady state).
-void BM_QpSolveWorkspace(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto problem = random_qp(n, 2 * n, 42);
-  opt::QpWorkspace ws;
-  opt::QpWarmStart warm;
-  for (auto _ : state) {
-    const auto result =
-        opt::solve_qp(problem, {}, ws, warm.empty() ? nullptr : &warm);
-    benchmark::DoNotOptimize(result);
-    warm.x = result.x;
-    warm.y_eq = result.y_eq;
-    warm.z_ineq = result.z_ineq;
-  }
-}
-BENCHMARK(BM_QpSolveWorkspace)->Arg(20)->Arg(60)->Arg(134);
 
 core::MpcFormulation make_window_formulation(std::size_t horizon) {
   core::MpcWindowData w;

@@ -157,8 +157,10 @@ ChaosOutcome run_chaos(const core::EvParams& params,
   svc::ServiceOptions options;
   options.shards = 8;
   options.queue_capacity = 1024;  // fill waves must never be rejected
-  // Most sessions must live on disk so a kill has something to recover.
-  options.resident_per_shard = std::max<std::size_t>(vehicles / 32, 64);
+  // Most sessions must live on disk so a kill has something to recover:
+  // the 8 shards keep a quarter of the fleet resident (312 per shard at
+  // 10,000 vehicles, 8 at 256).
+  options.resident_per_shard = std::max<std::size_t>(vehicles / 32, 1);
   options.store.dir = dir;
   options.store.sync = svc::SyncPolicy::kBatched;
   options.mpc.accessory_power_w = params.vehicle.accessory_power_w;

@@ -1,8 +1,9 @@
 // Solver perf envelope — machine-readable.
 //
-// Times the optimization hot path (dense QP, SQP on one MPC window, warm
-// receding-horizon planning) and emits per-bench wall time plus the QP
-// workspace's perf counters as JSON (BENCH_solver.json in CI). Unlike
+// Times the optimization hot path (SQP on one MPC window, warm
+// receding-horizon planning, the warm active-set resolve) and emits
+// per-bench wall time plus the QP solver's perf counters as JSON
+// (BENCH_solver.json in CI). Unlike
 // bench_micro_optim (google-benchmark, human-oriented), this harness is
 // plain chrono so the output schema is ours and diffable across runs:
 //   { "schema",
@@ -77,22 +78,14 @@ core::MpcFormulation make_window_formulation(std::size_t horizon) {
 void write_counters(JsonWriter& json, const opt::QpPerfCounters& c) {
   json.begin_object();
   json.key("solves").value(c.solves);
-  json.key("ipm_iterations").value(c.ipm_iterations);
   json.key("factorizations").value(c.factorizations);
-  json.key("schur_solves").value(c.schur_solves);
-  json.key("schur_regularizations").value(c.schur_regularizations);
-  json.key("dense_fallbacks").value(c.dense_fallbacks);
-  json.key("timeouts").value(c.timeouts);
   json.key("warm_starts").value(c.warm_starts);
-  json.key("workspace_growths").value(c.workspace_growths);
   json.key("peak_workspace_bytes").value(c.peak_workspace_bytes);
   json.key("condensed_solves").value(c.condensed_solves);
   json.key("condense_rebuilds").value(c.condense_rebuilds);
   json.key("active_set_changes").value(c.active_set_changes);
-  json.key("condensed_fallbacks").value(c.condensed_fallbacks);
   json.key("solve_time_ns").value(c.solve_time_ns);
   json.key("factorize_time_ns").value(c.factorize_time_ns);
-  json.key("timeout_time_ns").value(c.timeout_time_ns);
   json.end_object();
 }
 
@@ -119,47 +112,6 @@ int main(int argc, char** argv) {
   json.key("schema").value("evclimate-solver-bench-v1");
   json.key("benches");
   json.begin_array();
-
-  // Dense QP, fresh workspace per solve (the legacy entry point).
-  {
-    const std::size_t n = 60;
-    const auto problem = random_qp(n, 2 * n, 42);
-    const std::size_t reps = 20;
-    const auto start = Clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
-      const auto result = opt::solve_qp(problem);
-      if (!result.usable()) return 1;
-    }
-    write_bench_header(json, "qp_dense_n60_cold", reps, ns_since(start));
-    json.end_object();
-    std::cerr << "  qp_dense_n60_cold done\n";
-  }
-
-  // Dense QP, persistent workspace + warm start from the previous solve —
-  // the receding-horizon pattern. workspace_growths stays at the first
-  // solve's value: the steady-state loop is allocation-free.
-  {
-    const std::size_t n = 60;
-    const auto problem = random_qp(n, 2 * n, 42);
-    const std::size_t reps = 20;
-    opt::QpWorkspace ws;
-    opt::QpWarmStart warm;
-    const auto start = Clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
-      const auto result =
-          opt::solve_qp(problem, {}, ws, warm.empty() ? nullptr : &warm);
-      if (!result.usable()) return 1;
-      warm.x = result.x;
-      warm.y_eq = result.y_eq;
-      warm.z_ineq = result.z_ineq;
-    }
-    write_bench_header(json, "qp_dense_n60_workspace", reps,
-                       ns_since(start));
-    json.key("solver");
-    write_counters(json, ws.counters());
-    json.end_object();
-    std::cerr << "  qp_dense_n60_workspace done\n";
-  }
 
   // SQP on one MPC window, the whole warm start (multipliers and working
   // set) chained across solves.
@@ -219,47 +171,6 @@ int main(int argc, char** argv) {
     std::cerr << "  mpc_plan_step_warm done\n";
   }
 
-  // Same warm receding-horizon scenario with the condensed backend pinned.
-  // It is the default, so this row matches mpc_plan_step_warm above; it
-  // stays gated so the fast path is measured even if the default moves,
-  // and the run fails outright if the condensed path stops engaging.
-  {
-    core::MpcOptions opts;
-    opts.sqp.backend = opt::QpBackend::kCondensed;
-    core::MpcClimateController mpc(hvac::default_hvac_params(),
-                                   bat::leaf_24kwh_params(), opts);
-    ctl::ControlContext c;
-    c.dt_s = 1.0;
-    c.cabin_temp_c = 25.0;
-    c.outside_temp_c = 35.0;
-    c.soc_percent = 88.0;
-    c.motor_power_forecast_w.assign(120, 9e3);
-    c.outside_temp_forecast_c.assign(120, 35.0);
-    // Same untimed warm-up as the sparse row above — the A/B compares
-    // steady-state warm plan steps on both backends.
-    const std::size_t warmup = 24;
-    for (std::size_t r = 0; r < warmup; ++r) {
-      mpc.decide(c);
-      c.time_s += mpc.options().step_s;
-    }
-    const std::size_t plans = 40;
-    const auto start = Clock::now();
-    for (std::size_t r = 0; r < plans; ++r) {
-      mpc.decide(c);
-      c.time_s += mpc.options().step_s;  // next call replans
-    }
-    const std::uint64_t wall = ns_since(start);
-    if (mpc.stats().solver.condensed_solves == 0) {
-      std::cerr << "condensed backend never engaged in "
-                   "mpc_plan_step_condensed_warm\n";
-      return 1;
-    }
-    write_bench_header(json, "mpc_plan_step_condensed_warm", plans, wall);
-    json.key("mpc").raw_value(core::to_json(mpc.stats()));
-    json.end_object();
-    std::cerr << "  mpc_plan_step_condensed_warm done\n";
-  }
-
   // Warm active-set resolve in isolation: one dense QP, g nudged slightly
   // each rep, previous working set seeding the next solve — the inner
   // kernel of the condensed plan step.
@@ -269,14 +180,13 @@ int main(int argc, char** argv) {
     num::CholeskyFactorization h_chol;
     if (!h_chol.factorize(problem.h)) return 1;
     opt::DenseActiveSetSolver active_set;
-    opt::DenseActiveSetOptions as_opts;
     num::Vector v(n), lambda(2 * n);
     num::Vector g = problem.g;
     std::vector<std::size_t> warm;
     // Cold solve outside the timer establishes the working set.
     if (!active_set
              .solve(h_chol, problem.h, problem.a_mat, nullptr, g,
-                    problem.b_vec, warm, as_opts, v, lambda)
+                    problem.b_vec, warm, v, lambda)
              .usable())
       return 1;
     const std::size_t reps = 200;
@@ -288,7 +198,7 @@ int main(int argc, char** argv) {
         g[i] = problem.g[i] + 1e-3 * rng.uniform(-1, 1);
       const auto out =
           active_set.solve(h_chol, problem.h, problem.a_mat, nullptr, g,
-                           problem.b_vec, warm, as_opts, v, lambda);
+                           problem.b_vec, warm, v, lambda);
       if (!out.usable()) return 1;
     }
     write_bench_header(json, "dense_active_set_resolve", reps,

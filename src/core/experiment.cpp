@@ -34,8 +34,6 @@ MpcOptions make_relaxed_mpc_options(const MpcOptions& options) {
       std::max<std::size_t>(2, options.sqp.max_iterations / 2);
   relaxed.sqp.step_tolerance = options.sqp.step_tolerance * 10.0;
   relaxed.sqp.constraint_tolerance = options.sqp.constraint_tolerance * 10.0;
-  relaxed.sqp.qp.max_iterations =
-      std::max<std::size_t>(10, options.sqp.qp.max_iterations / 2);
   // A hard wall-clock budget of its own, NOT inherited from the parent: the
   // relaxed tier exists to give a dependable answer when the full tier is
   // starved, and inheriting a starved budget would starve the fallback too.

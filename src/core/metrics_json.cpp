@@ -8,22 +8,14 @@ namespace {
 
 void visit_qp_counters(const opt::QpPerfCounters& c, obs::FieldSink& sink) {
   sink.field_size("solves", c.solves);
-  sink.field_size("ipm_iterations", c.ipm_iterations);
   sink.field_size("factorizations", c.factorizations);
-  sink.field_size("schur_solves", c.schur_solves);
-  sink.field_size("schur_regularizations", c.schur_regularizations);
-  sink.field_size("dense_fallbacks", c.dense_fallbacks);
-  sink.field_size("timeouts", c.timeouts);
   sink.field_size("warm_starts", c.warm_starts);
-  sink.field_size("workspace_growths", c.workspace_growths);
   sink.field_size("peak_workspace_bytes", c.peak_workspace_bytes);
   sink.field_size("condensed_solves", c.condensed_solves);
   sink.field_size("condense_rebuilds", c.condense_rebuilds);
   sink.field_size("active_set_changes", c.active_set_changes);
-  sink.field_size("condensed_fallbacks", c.condensed_fallbacks);
   sink.field_u64("solve_time_ns", c.solve_time_ns);
   sink.field_u64("factorize_time_ns", c.factorize_time_ns);
-  sink.field_u64("timeout_time_ns", c.timeout_time_ns);
 }
 
 void visit_fdi_sensor(const fdi::FdiSensorStats& s, obs::FieldSink& sink) {

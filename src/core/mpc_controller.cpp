@@ -249,7 +249,7 @@ hvac::HvacInputs MpcClimateController::decide(
   stats_.solve_time_ns += last_step_solve_ns_;
   stats_.sqp_iterations += result.iterations;
   stats_.qp_iterations += result.qp_iterations_total;
-  // The workspace counters are cumulative; diff against the previous
+  // The solver counters are cumulative; diff against the previous
   // snapshot so the condensed-backend metrics see only this plan's work.
   const opt::QpPerfCounters prev_counters = stats_.solver;
   stats_.solver = solver_.qp_counters();
@@ -257,9 +257,6 @@ hvac::HvacInputs MpcClimateController::decide(
   plan_span.arg("sqp_iterations", static_cast<double>(result.iterations));
   plan_span.arg("qp_iterations",
                 static_cast<double>(result.qp_iterations_total));
-  plan_span.arg("qp_fallbacks",
-                static_cast<double>(stats_.solver.condensed_fallbacks -
-                                    prev_counters.condensed_fallbacks));
   obs::MetricsRegistry::global().add(metric_ids.plans);
   obs::MetricsRegistry::global().observe(metric_ids.solve_ns,
                                          last_step_solve_ns_);
@@ -322,11 +319,9 @@ hvac::HvacInputs MpcClimateController::decide(
     input.recirculation = result.x[idx.dr(0)];
     input.air_flow_kg_s = result.x[idx.mz(0)];
     // Saturate to the actuator box (C1/C5/C6/C7) before commanding the
-    // plant. The interior point returns strictly interior iterates and
-    // passes through bit-unchanged; the condensed active set counts a bound
-    // as met within its feasibility tolerance, so a boundary-active input
-    // can overshoot by that much — an epsilon that must not leak into
-    // actuation.
+    // plant. The active set counts a bound as met within its feasibility
+    // tolerance, so a boundary-active input can overshoot by that much — an
+    // epsilon that must not leak into actuation.
     input.supply_temp_c =
         std::min(input.supply_temp_c, hvac_.max_supply_temp_c);
     input.coil_temp_c = std::max(input.coil_temp_c, hvac_.min_coil_temp_c);
@@ -377,43 +372,27 @@ hvac::HvacInputs load_hvac_inputs(BinaryReader& r) {
 
 void save_qp_counters(BinaryWriter& w, const opt::QpPerfCounters& c) {
   w.write_size(c.solves);
-  w.write_size(c.ipm_iterations);
   w.write_size(c.factorizations);
-  w.write_size(c.schur_solves);
-  w.write_size(c.schur_regularizations);
-  w.write_size(c.dense_fallbacks);
-  w.write_size(c.timeouts);
   w.write_size(c.warm_starts);
-  w.write_size(c.workspace_growths);
   w.write_size(c.peak_workspace_bytes);
   w.write_size(c.condensed_solves);
   w.write_size(c.condense_rebuilds);
   w.write_size(c.active_set_changes);
-  w.write_size(c.condensed_fallbacks);
   w.write_u64(c.solve_time_ns);
   w.write_u64(c.factorize_time_ns);
-  w.write_u64(c.timeout_time_ns);
 }
 
 opt::QpPerfCounters load_qp_counters(BinaryReader& r) {
   opt::QpPerfCounters c;
   c.solves = r.read_size();
-  c.ipm_iterations = r.read_size();
   c.factorizations = r.read_size();
-  c.schur_solves = r.read_size();
-  c.schur_regularizations = r.read_size();
-  c.dense_fallbacks = r.read_size();
-  c.timeouts = r.read_size();
   c.warm_starts = r.read_size();
-  c.workspace_growths = r.read_size();
   c.peak_workspace_bytes = r.read_size();
   c.condensed_solves = r.read_size();
   c.condense_rebuilds = r.read_size();
   c.active_set_changes = r.read_size();
-  c.condensed_fallbacks = r.read_size();
   c.solve_time_ns = r.read_u64();
   c.factorize_time_ns = r.read_u64();
-  c.timeout_time_ns = r.read_u64();
   return c;
 }
 
@@ -486,7 +465,7 @@ void MpcClimateController::load_state(BinaryReader& reader) {
   stats_.timeouts = reader.read_size();
   stats_.numerical_failures = reader.read_size();
   stats_.rejected_plans = reader.read_size();
-  // The restored counters go straight back into the workspace, so the
+  // The restored counters go straight back into the solver, so the
   // resumed run's aggregate solver telemetry continues where it left off
   // (decide() re-reads them from the solver after every plan).
   stats_.solver = load_qp_counters(reader);

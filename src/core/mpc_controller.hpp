@@ -52,8 +52,6 @@ struct MpcOptions {
     sqp.step_tolerance = 1e-3;
     sqp.constraint_tolerance = 1e-4;
     sqp.hessian_regularization = 1e-6;
-    sqp.qp.max_iterations = 30;
-    sqp.qp.tolerance = 1e-7;
   }
 };
 
@@ -66,8 +64,8 @@ struct MpcWarmStart {
 };
 
 /// Planning telemetry for tests/benches. `solver` aggregates the QP
-/// workspace's perf counters (interior-point iterations, factorizations,
-/// warm starts, workspace growth/peak bytes) over every plan since reset.
+/// solver's perf counters (solves, factorizations, warm starts, working-set
+/// changes, peak bytes) over every plan since reset.
 /// The per-status counters partition `plans`: every solve lands in exactly
 /// one of converged / max_iteration_exits / timeouts / numerical_failures,
 /// and `rejected_plans` counts usable solves whose constraint violation was
@@ -126,7 +124,7 @@ class MpcClimateController : public ctl::ClimateController {
   /// Checkpoint hooks: round-trip everything that influences future plans —
   /// warm-start primal/dual state (plan, multipliers and QP working set),
   /// zero-order-hold input, plan schedule,
-  /// and the aggregate telemetry (including the QP workspace counters,
+  /// and the aggregate telemetry (including the QP solver counters,
   /// which are pushed back into the solver on load).
   void save_state(BinaryWriter& writer) const override;
   void load_state(BinaryReader& reader) override;

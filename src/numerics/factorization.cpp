@@ -149,38 +149,6 @@ void CholeskyFactorization::solve_into(const Vector& b, Vector& x) const {
   }
 }
 
-void CholeskyFactorization::forward_block_in_place(Matrix& b) const {
-  EVC_EXPECT(ok_, "block solve on a failed Cholesky factorization");
-  EVC_EXPECT(b.rows() == n_, "Cholesky block solve dimension mismatch");
-  const std::size_t k = b.cols();
-  const simd::KernelTable& tbl = simd::active();
-  for (std::size_t i = 0; i < n_; ++i) {
-    double* bi = b.row_ptr(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      const double lij = l_(i, j);
-      if (lij == 0.0) continue;
-      tbl.axpy(-lij, b.row_ptr(j), bi, k);
-    }
-    tbl.scale(1.0 / l_(i, i), bi, k);
-  }
-}
-
-void CholeskyFactorization::backward_block_in_place(Matrix& b) const {
-  EVC_EXPECT(ok_, "block solve on a failed Cholesky factorization");
-  EVC_EXPECT(b.rows() == n_, "Cholesky block solve dimension mismatch");
-  const std::size_t k = b.cols();
-  const simd::KernelTable& tbl = simd::active();
-  for (std::size_t j = n_; j-- > 0;) {
-    double* bj = b.row_ptr(j);
-    tbl.scale(1.0 / l_(j, j), bj, k);
-    for (std::size_t i = 0; i < j; ++i) {
-      const double lji = l_(j, i);
-      if (lji == 0.0) continue;
-      tbl.axpy(-lji, bj, b.row_ptr(i), k);
-    }
-  }
-}
-
 Vector CholeskyFactorization::solve(const Vector& b) const {
   Vector x(n_);
   solve_into(b, x);

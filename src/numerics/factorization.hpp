@@ -1,14 +1,14 @@
 // Dense factorizations backing the QP/SQP solvers.
 //
 // * LuFactorization       — PLU with partial pivoting; general square
-//                           systems (SQP KKT systems are symmetric but
-//                           indefinite, so LU-with-pivoting is the robust
-//                           workhorse at these sizes).
-// * CholeskyFactorization — SPD systems (regularized QP Hessians).
+//                           systems (the SQP's second-order correction
+//                           solves J·Jᵀ with it).
+// * CholeskyFactorization — SPD systems (the condensed QP's reduced
+//                           Hessian).
 //
 // Both report singularity through `ok()` instead of throwing: the solvers
-// treat a singular KKT matrix as a recoverable condition (they regularize
-// and retry).
+// treat a singular matrix as a recoverable condition (the condensed QP
+// reports the subproblem unsolved; the second-order correction is skipped).
 //
 // Both support refactorization into preallocated workspace: default-construct
 // once, then call `factorize()` per iteration — the internal storage is
@@ -93,14 +93,6 @@ class CholeskyFactorization {
   void solve_into(const Vector& b, Vector& x) const;
   /// Factor entry L(r, c), r ≥ c — test introspection.
   double entry(std::size_t r, std::size_t c) const { return l_(r, c); }
-
-  /// Solve L·Y = B in place, one right-hand side per *column* of B (n×k).
-  /// Row-oriented sweeps keep every inner loop contiguous, which is what
-  /// makes many-rhs solves (the Schur complement's K⁻¹Eᵀ) fast.
-  void forward_block_in_place(Matrix& b) const;
-  /// Solve Lᵀ·X = Y in place; completes forward_block_in_place so that
-  /// B becomes A⁻¹ of the original block.
-  void backward_block_in_place(Matrix& b) const;
 
   std::size_t workspace_bytes() const {
     return l_.capacity() * sizeof(double);

@@ -20,38 +20,6 @@ void gemv(double alpha, const Matrix& a, const Vector& x, double beta,
   simd::active().gemv(alpha, a.ptr(), cols, rows, cols, x.ptr(), y.ptr());
 }
 
-void gemv_t(double alpha, const Matrix& a, const Vector& x, double beta,
-            Vector& y) {
-  EVC_EXPECT(a.rows() == x.size(), "gemv_t dimension mismatch");
-  EVC_EXPECT(&y != &x, "gemv_t output aliases input");
-  if (beta == 0.0) {
-    y.assign(a.cols(), 0.0);
-  } else {
-    EVC_EXPECT(y.size() == a.cols(), "gemv_t output dimension mismatch");
-    if (beta != 1.0) y *= beta;
-  }
-  if (alpha == 0.0) return;
-  const std::size_t rows = a.rows(), cols = a.cols();
-  simd::active().gemv_t(alpha, a.ptr(), cols, rows, cols, x.ptr(), y.ptr());
-}
-
-void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
-          Matrix& c) {
-  EVC_EXPECT(a.cols() == b.rows(), "gemm dimension mismatch");
-  EVC_EXPECT(&c != &a && &c != &b, "gemm output aliases input");
-  if (beta == 0.0) {
-    c.resize(a.rows(), b.cols());
-  } else {
-    EVC_EXPECT(c.rows() == a.rows() && c.cols() == b.cols(),
-               "gemm output dimension mismatch");
-    if (beta != 1.0) c *= beta;
-  }
-  if (alpha == 0.0) return;
-  const std::size_t rows = a.rows(), inner = a.cols(), cols = b.cols();
-  simd::active().gemm(alpha, a.ptr(), inner, b.ptr(), cols, c.ptr(), cols,
-                      rows, inner, cols);
-}
-
 void axpy(double alpha, const Vector& x, Vector& y) {
   EVC_EXPECT(x.size() == y.size(), "axpy dimension mismatch");
   simd::active().axpy(alpha, x.ptr(), y.ptr(), y.size());
@@ -85,12 +53,6 @@ void gemv_span(double alpha, const double* a, std::size_t lda,
                std::size_t rows, std::size_t cols, const double* x,
                double* y) {
   simd::active().gemv(alpha, a, lda, rows, cols, x, y);
-}
-
-void gemv_t_span(double alpha, const double* a, std::size_t lda,
-                 std::size_t rows, std::size_t cols, const double* x,
-                 double* y) {
-  simd::active().gemv_t(alpha, a, lda, rows, cols, x, y);
 }
 
 void copy_into(const Vector& src, Vector& dst) {

@@ -25,18 +25,6 @@ namespace evc::num {
 void gemv(double alpha, const Matrix& a, const Vector& x, double beta,
           Vector& y);
 
-/// y := α·Aᵀ·x + β·y (without forming the transpose). `y` is resized to
-/// a.cols() when β == 0; otherwise it must already have that size. `y` must
-/// not alias `x`.
-void gemv_t(double alpha, const Matrix& a, const Vector& x, double beta,
-            Vector& y);
-
-/// C := α·A·B + β·C. `c` is resized to a.rows()×b.cols() when β == 0;
-/// otherwise it must already have those dimensions. `c` must not alias
-/// `a` or `b`.
-void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
-          Matrix& c);
-
 /// y := α·x + y (same as Vector::add_scaled, in kernel spelling).
 void axpy(double alpha, const Vector& x, Vector& y);
 
@@ -63,9 +51,5 @@ void axpy_span(double a, const double* x, double* y, std::size_t n);
 /// y[i] += alpha·(A·x)[i]; A is rows×cols row-major, leading dimension lda.
 void gemv_span(double alpha, const double* a, std::size_t lda,
                std::size_t rows, std::size_t cols, const double* x, double* y);
-/// y[j] += alpha·(Aᵀ·x)[j]; A is rows×cols row-major, leading dimension lda.
-void gemv_t_span(double alpha, const double* a, std::size_t lda,
-                 std::size_t rows, std::size_t cols, const double* x,
-                 double* y);
 
 }  // namespace evc::num

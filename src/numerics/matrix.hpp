@@ -103,10 +103,11 @@ struct SparseRows {
   double dot(std::size_t r, const Matrix& m, const double* x) const;
   /// y[r] += alpha·dot(r, m, x) for every row: the bits of gemv_span.
   void gemv(double alpha, const Matrix& m, const double* x, double* y) const;
-  /// y[c] += x[r]·M(r, c) over the nonzeros: the bits of gemv_t_span with
-  /// alpha 1 for finite x as long as no entry of y is −0, since adding a
-  /// skipped exact-zero product changes only a −0 (and a sum never turns
-  /// into −0 unless both terms are).
+  /// y[c] += x[r]·M(r, c) over the nonzeros, rows ascending, so each entry
+  /// of y adds its products in ascending row order. For finite x and no
+  /// entry of y at −0 this equals the same sum over every entry of M,
+  /// since adding a skipped exact-zero product changes only a −0 (and a
+  /// sum never turns into −0 unless both terms are).
   void gemv_t(const double* x, double* y) const;
 };
 

@@ -1,9 +1,8 @@
 // Portable SIMD abstraction with runtime dispatch for the numeric kernels.
 //
 // Every dense inner loop of the solver hot path (numerics/kernels,
-// factorization, schur_kkt) funnels through a small table of raw-pointer
-// kernels — dot / axpy / scale / gemv / gemvᵀ / gemm — with one
-// implementation per instruction set:
+// factorization) funnels through a small table of raw-pointer kernels —
+// dot / axpy / gemv — with one implementation per instruction set:
 //
 //   * avx2    4-wide AVX2 (x86-64, detected via cpuid at startup)
 //   * sse2    2×2-wide SSE2 (x86-64 baseline)
@@ -45,28 +44,17 @@ enum class Isa {
 inline constexpr std::size_t kDotBlock = 8;
 
 /// Raw-pointer kernels, one slot per primitive the solver hot path needs.
-/// All matrices are row-major with leading dimension `lda`/`ldb`/`ldc`
-/// (elements between consecutive rows). Outputs must not alias inputs.
+/// Matrices are row-major with leading dimension `lda` (elements between
+/// consecutive rows). Outputs must not alias inputs.
 struct KernelTable {
   Isa isa = Isa::kScalar;
   /// Σ x[i]·y[i] in blocked order.
   double (*dot)(const double* x, const double* y, std::size_t n);
   /// y[i] += a·x[i] (elementwise; bitwise equal to the plain loop).
   void (*axpy)(double a, const double* x, double* y, std::size_t n);
-  /// x[i] *= a.
-  void (*scale)(double a, double* x, std::size_t n);
   /// y[i] += alpha·(A·x)[i], one blocked dot per row.
   void (*gemv)(double alpha, const double* a, std::size_t lda,
                std::size_t rows, std::size_t cols, const double* x, double* y);
-  /// y[j] += alpha·(Aᵀ·x)[j], one axpy per row (runs along rows of A so the
-  /// inner loop is contiguous; never forms the transpose).
-  void (*gemv_t)(double alpha, const double* a, std::size_t lda,
-                 std::size_t rows, std::size_t cols, const double* x,
-                 double* y);
-  /// C[i,:] += alpha·Σ_k A[i,k]·B[k,:], one axpy per (i,k).
-  void (*gemm)(double alpha, const double* a, std::size_t lda,
-               const double* b, std::size_t ldb, double* c, std::size_t ldc,
-               std::size_t m, std::size_t k, std::size_t n);
 };
 
 const char* to_string(Isa isa);

@@ -79,14 +79,6 @@ struct BlockedKernels {
     for (; i < n; ++i) y[i] += a * x[i];
   }
 
-  static void scale(double a, double* x, std::size_t n) {
-    const Pack va = Pack::broadcast(a);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-      Pack::store(x + i, Pack::mul(va, Pack::load(x + i)));
-    for (; i < n; ++i) x[i] *= a;
-  }
-
   static void gemv(double alpha, const double* a, std::size_t lda,
                    std::size_t rows, std::size_t cols, const double* x,
                    double* y) {
@@ -94,26 +86,8 @@ struct BlockedKernels {
       y[i] += alpha * dot(a + i * lda, x, cols);
   }
 
-  static void gemv_t(double alpha, const double* a, std::size_t lda,
-                     std::size_t rows, std::size_t cols, const double* x,
-                     double* y) {
-    for (std::size_t i = 0; i < rows; ++i)
-      axpy(alpha * x[i], a + i * lda, y, cols);
-  }
-
-  static void gemm(double alpha, const double* a, std::size_t lda,
-                   const double* b, std::size_t ldb, double* c,
-                   std::size_t ldc, std::size_t m, std::size_t k,
-                   std::size_t n) {
-    for (std::size_t i = 0; i < m; ++i) {
-      double* ci = c + i * ldc;
-      for (std::size_t p = 0; p < k; ++p)
-        axpy(alpha * a[i * lda + p], b + p * ldb, ci, n);
-    }
-  }
-
   static constexpr KernelTable table(Isa isa) {
-    return KernelTable{isa, &dot, &axpy, &scale, &gemv, &gemv_t, &gemm};
+    return KernelTable{isa, &dot, &axpy, &gemv};
   }
 };
 

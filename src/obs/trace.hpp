@@ -1,6 +1,6 @@
 // Ring-buffer span tracer with a Chrome trace-event (Perfetto) exporter.
 //
-// EVC_TRACE_SPAN("qp.solve") opens an RAII scope whose wall-clock interval
+// EVC_TRACE_SPAN("qp.condense") opens an RAII scope whose wall-clock interval
 // is recorded when the scope closes. The hot path is built to disappear:
 //   * runtime-disabled (the default): one relaxed atomic load per scope —
 //     no clock reads, no ring writes, no allocation — so clean runs stay

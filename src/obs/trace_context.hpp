@@ -5,7 +5,7 @@
 // svc::SessionService::submit_step), carried with the request across queue
 // hops and thread-pool task boundaries, and *installed* as a thread-local
 // ambient context (ScopedTraceContext) wherever work runs on the request's
-// behalf. While installed, every TraceSpan the thread opens — qp.solve deep
+// behalf. While installed, every TraceSpan the thread opens — qp.active_set deep
 // in the solver, io.fsync deep in the VFS — inherits the request's trace id
 // and links to the innermost enclosing span via parent_span_id, so the
 // Perfetto export reconstructs submit → queue wait → hydrate → step →

@@ -19,18 +19,13 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-bool plan_matches(const QpProblem& qp, const CondensingPlan& plan) {
-  return plan.num_vars == qp.num_vars() && plan.num_eq() == qp.num_eq() &&
-         plan.num_free() == qp.num_vars() - qp.num_eq() &&
-         plan.num_free() > 0;
-}
+/// Minimum pivot magnitude accepted when triangularizing E.
+constexpr double kMinPivot = 1e-8;
 
 }  // namespace
 
 const char* to_string(QpBackend backend) {
   switch (backend) {
-    case QpBackend::kSparse:
-      return "sparse";
     case QpBackend::kCondensed:
       return "condensed";
   }
@@ -59,8 +54,7 @@ bool CondensingPlan::finalize() {
 }
 
 bool CondensedQpSolver::condense(const QpProblem& qp, const QpNonzeros& nz,
-                                 const CondensingPlan& plan,
-                                 double min_pivot) {
+                                 const CondensingPlan& plan) {
   const std::size_t n = plan.num_vars;
   const std::size_t me = plan.num_eq();
   const std::size_t nf = plan.num_free();
@@ -73,7 +67,7 @@ bool CondensedQpSolver::condense(const QpProblem& qp, const QpNonzeros& nz,
   pivots_.assign(me, 0.0);
   for (std::size_t i = 0; i < me; ++i) {
     const double pivot = qp.e_mat(plan.dep_rows[i], plan.dep_cols[i]);
-    if (std::abs(pivot) < min_pivot) return false;
+    if (std::abs(pivot) < kMinPivot) return false;
     pivots_[i] = pivot;
     const std::size_t row = plan.dep_rows[i];
     for (std::size_t t = e.row_ptr[row]; t < e.row_ptr[row + 1]; ++t) {
@@ -182,14 +176,17 @@ void CondensedQpSolver::times_z(const num::SparseRows& m, num::Matrix& out,
 
 QpResult CondensedQpSolver::solve(const QpProblem& qp, const QpNonzeros& nz,
                                   const CondensingPlan& plan,
-                                  const CondensedQpOptions& options,
                                   QpPerfCounters& counters,
-                                  const QpWarmStart* warm_start) {
-  QpResult result;
-  if (!plan_matches(qp, plan)) return result;
+                                  const std::vector<std::size_t>* warm_active) {
+  qp.validate();
+  EVC_EXPECT(plan.num_vars == qp.num_vars() && plan.num_eq() == qp.num_eq() &&
+                 plan.num_free() == qp.num_vars() - qp.num_eq() &&
+                 plan.num_free() > 0,
+             "condensed QP: the condensing plan does not fit the problem");
   EVC_EXPECT(nz.h.rows() == qp.num_vars() && nz.e.rows() == qp.num_eq() &&
                  nz.a.rows() == qp.num_ineq(),
              "condensed QP: nonzero views do not match the problem");
+  QpResult result;
 
   const auto start = std::chrono::steady_clock::now();
   const std::size_t n = qp.num_vars();
@@ -199,7 +196,7 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp, const QpNonzeros& nz,
 
   {
     EVC_TRACE_SPAN("qp.condense");
-    if (!condense(qp, nz, plan, options.min_pivot)) return result;
+    if (!condense(qp, nz, plan)) return result;
   }
   ++counters.condense_rebuilds;
   ++counters.factorizations;
@@ -226,38 +223,34 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp, const QpNonzeros& nz,
   for (std::size_t i = 0; i < mi; ++i) b_r_[i] = qp.b_vec[i];
   nz.a.gemv(-1.0, qp.a_mat, d_p_.ptr(), b_r_.ptr());
 
-  // Warm working set: the previous solve's final working set united with
-  // the support of its inequality multipliers, ascending. The working set
-  // keeps the rows active at a degenerate vertex whose multipliers are
-  // zero; the support covers a seed from an interior-point solve, which has
-  // no working set. Derived fresh from the caller's seed every time — the
-  // solver itself keeps no hidden cross-solve state.
+  // Warm working set: the caller's seed rows that exist in this problem,
+  // ascending and once each. It keeps the rows active at a degenerate
+  // vertex, whose multipliers are zero, and every row with a nonzero
+  // multiplier, which is always a working row. Derived fresh from the
+  // caller's seed every time — the solver itself keeps no hidden
+  // cross-solve state.
   warm_idx_.clear();
-  const bool warm =
-      warm_start != nullptr && warm_start->z_ineq.size() == mi;
+  const bool warm = warm_active != nullptr;
   if (warm) {
     seed_mark_.assign(mi, 0);
-    for (const std::size_t i : warm_start->active_ineq)
+    for (const std::size_t i : *warm_active)
       if (i < mi) seed_mark_[i] = 1;
-    double z_max = 0.0;
     for (std::size_t i = 0; i < mi; ++i)
-      z_max = std::max(z_max, warm_start->z_ineq[i]);
-    const double threshold =
-        std::max(options.warm_threshold, options.warm_relative * z_max);
-    for (std::size_t i = 0; i < mi; ++i)
-      if (seed_mark_[i] != 0 || warm_start->z_ineq[i] > threshold)
-        warm_idx_.push_back(i);
+      if (seed_mark_[i] != 0) warm_idx_.push_back(i);
   }
 
   DenseActiveSetOutput as_out;
   {
     EVC_TRACE_SPAN_VAR(span, "qp.active_set");
     as_out = active_set_.solve(chol_hr_, h_r_, a_r_, &a_r_short_, g_r_, b_r_,
-                               warm_idx_, options.active_set, v_, lam_);
+                               warm_idx_, v_, lam_);
     span.arg("iterations", static_cast<double>(as_out.iterations));
     span.arg("set_changes", static_cast<double>(as_out.set_changes));
   }
-  if (as_out.status != QpStatus::kSolved) return result;
+  if (!as_out.usable()) {
+    result.status = as_out.status;
+    return result;
+  }
 
   // Expand v back to the full space and recover the multipliers.
   result.x.assign(n, 0.0);

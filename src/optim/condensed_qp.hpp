@@ -1,8 +1,8 @@
-// Condensed QP backend for the MPC fast path.
+// Condensed QP solver: the SQP layer's one QP solver.
 //
-// The sparse path hands the interior-point solver the full step-space QP —
-// all 11N+2 variables, 6N+2 equality rows — every receding-horizon step.
-// But the equalities are the *model*: given the 5N free inputs per step
+// The SQP poses the full step-space QP — all 11N+2 variables, 6N+2
+// equality rows — every iteration of every receding-horizon step. But the
+// equalities are the *model*: given the 5N free inputs per step
 // (supply temperature, compressor duty, recirculation, mass flow, comfort
 // slack), the states and powers are determined. Condensing eliminates them
 // up front (the Φ/Γ "prediction matrix" construction of classic MPC,
@@ -16,16 +16,14 @@
 //     min ½ vᵀ(ZᵀHZ) v + (Zᵀ(H·d_p + g))ᵀ v   s.t.  (A·Z) v ≤ b − A·d_p
 //
 // solved by the warm-started dense active-set method in
-// optim/dense_active_set. The win is structural: the 60-variable dense QP
-// is solved by a few active-set steps seeded from the previous
-// subproblem's final working set and multiplier support (a mean of 5.8 on
-// Fig. 5's closed loop, see dense_active_set.hpp), instead of a
-// 134-variable interior point that factors its KKT system every iteration.
+// optim/dense_active_set. The 60-variable dense QP is solved by a few
+// active-set steps seeded from the previous subproblem's final working set
+// (a mean of 5.8 on Fig. 5's closed loop, see dense_active_set.hpp).
 //
 // The solver keeps no cross-solve state: every call condenses the live
 // QpProblem it is given, so its result is a pure function of that problem
-// and the caller's warm seed (multipliers and working set, both carried by
-// the caller in QpWarmStart), and a checkpoint needs nothing from it. The
+// and the caller's working-set seed, and a checkpoint needs nothing from
+// it. The
 // condensing itself only pays for nonzeros, read from the caller's
 // QpNonzeros views of H, E and A (gathered as often as each matrix changes)
 // and from Z's, gathered once Z is built. E has about three nonzeros per
@@ -42,10 +40,11 @@
 // Which variables are "dependent" and in what order they can be eliminated
 // is problem knowledge, declared by the NLP through a CondensingPlan (the
 // MPC formulation orders its rows so the dependent block is unit-lower-
-// triangular-ish with pivots ≥ 1). The plan is validated here; a problem
-// without a plan, or a solve that fails numerically, falls back to the
-// sparse interior-point path — the condensed backend is an accelerator,
-// never the only route to an answer.
+// triangular-ish with pivots ≥ 1). A plan that does not fit its problem is
+// a programming error and fails EVC_EXPECT. A pivot or triangularity
+// failure against the actual matrix, like an active-set failure, returns an
+// unusable result; the SQP then stops with kQpFailure and the supervisor
+// demotes.
 #pragma once
 
 #include <cstddef>
@@ -59,10 +58,10 @@
 
 namespace evc::opt {
 
-/// Which QP engine the SQP layer uses for its subproblems.
+/// The QP engine the SQP layer uses for its subproblems. There is one; the
+/// name is recorded in benchmark artifacts.
 enum class QpBackend {
-  kSparse,     ///< full-space interior point (the reference path)
-  kCondensed,  ///< condensed dense active set; interior point on failure
+  kCondensed,  ///< condensed dense active set
 };
 
 const char* to_string(QpBackend backend);
@@ -100,41 +99,25 @@ struct QpNonzeros {
   num::SparseRows h, e, a;
 };
 
-struct CondensedQpOptions {
-  /// Minimum pivot magnitude accepted when triangularizing E.
-  double min_pivot = 1e-8;
-  /// The warm start seeds the active set with its working set plus every
-  /// row whose inequality multiplier exceeds max(warm_threshold,
-  /// warm_relative · max_i z_i). The working set carries the rows active at
-  /// a degenerate vertex with zero multipliers; the multiplier support is
-  /// the whole seed when the warm start comes from an *interior-point*
-  /// solve (the bootstrap after any fallback), which has no working set.
-  /// There the relative part matters: IPM multipliers are strictly positive
-  /// everywhere — inactive rows sit at the duality-gap floor (~tolerance),
-  /// orders of magnitude below the active ones — so an absolute threshold
-  /// alone seeds every row and the active-set method starts from garbage.
-  double warm_threshold = 1e-8;
-  double warm_relative = 1e-4;
-  DenseActiveSetOptions active_set;
-};
-
 /// Condensed-backend solver. One instance per SQP solver; not thread-safe.
 /// The members are scratch reused across calls to avoid allocation; none of
 /// them carries information from one solve to the next.
 class CondensedQpSolver {
  public:
-  /// Condense `qp` along `plan` and solve it. On any structural or
-  /// numerical failure returns a result with status kNumericalIssue
-  /// (usable() false) — the caller is expected to fall back to solve_qp.
-  /// Every condensing books condense_rebuilds and factorizations (it
-  /// factors the reduced Hessian); a successful solve also books
-  /// solves/condensed_solves, warm_starts when `warm_start` seeded the
-  /// active set, and active_set_changes into `counters`. A successful
-  /// result carries the final working set, ascending, in active_ineq — the
-  /// seed for the next subproblem.
+  /// Condense `qp` along `plan` and solve it. `plan` must fit `qp` (same
+  /// variable and equality counts, at least one free variable); a plan
+  /// that does not fails EVC_EXPECT. On a pivot, triangularity or
+  /// active-set failure returns a result that is not usable(). Every
+  /// condensing books condense_rebuilds and factorizations (it factors the
+  /// reduced Hessian); a successful solve also books solves/
+  /// condensed_solves, warm_starts when `warm_active` seeded the active
+  /// set, and active_set_changes into `counters`. `warm_active`, when not
+  /// null, lists the inequality rows to seed the working set with (rows out
+  /// of range are skipped). A successful result carries the final working
+  /// set, ascending, in active_ineq — the seed for the next subproblem.
   QpResult solve(const QpProblem& qp, const QpNonzeros& nz,
-                 const CondensingPlan& plan, const CondensedQpOptions& options,
-                 QpPerfCounters& counters, const QpWarmStart* warm_start);
+                 const CondensingPlan& plan, QpPerfCounters& counters,
+                 const std::vector<std::size_t>* warm_active);
 
   std::size_t bytes() const;
 
@@ -144,7 +127,7 @@ class CondensedQpSolver {
   /// when E cannot be triangularized in plan order or H_r is not positive
   /// definite.
   bool condense(const QpProblem& qp, const QpNonzeros& nz,
-                const CondensingPlan& plan, double min_pivot);
+                const CondensingPlan& plan);
   /// out := M·Z over the nonzeros of M and Z (needs z_nz_). With
   /// `short_rows`, also records the rows of `out` that hold at most two
   /// nonzeros, from the columns the products touch.

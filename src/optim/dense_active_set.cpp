@@ -95,6 +95,15 @@ void SchurCholesky::solve_in_place(double* b) const {
 
 namespace {
 
+/// Feasibility/optimality margin, scaled per row by max(1, |b_i|):
+/// constraint i counts as violated when a_iᵀv − b_i exceeds it, and a
+/// working-set multiplier as wrong-signed when below its negative.
+constexpr double kTolerance = 1e-9;
+/// Schur pivot acceptance, relative to max(1, |diag|) of the appended row:
+/// below it the row is treated as dependent on the working set (κ = 0, a
+/// pure dual step).
+constexpr double kSingularTolerance = 1e-12;
+
 // Row i of A times x in dot_span's bits: from the row's entries when
 // `a_short` lists it (see num::ShortRows), through the kernel otherwise.
 double row_dot(const num::Matrix& a, const num::ShortRows* a_short,
@@ -108,8 +117,7 @@ double row_dot(const num::Matrix& a, const num::ShortRows* a_short,
 bool DenseActiveSetSolver::try_add(const num::CholeskyFactorization& h_chol,
                                    const num::Matrix& a,
                                    const num::ShortRows* a_short,
-                                   std::size_t idx,
-                                   double singular_tolerance) {
+                                   std::size_t idx) {
   const std::size_t n = a.cols();
   const double* a_idx = a.row_ptr(idx);
   rhs_n_.assign(n, 0.0);
@@ -121,7 +129,7 @@ bool DenseActiveSetSolver::try_add(const num::CholeskyFactorization& h_chol,
   for (std::size_t t = 0; t < nw; ++t)
     cross_[t] = row_dot(a, a_short, active_[t], hinv_new_.ptr());
   const double diag = row_dot(a, a_short, idx, hinv_new_.ptr());
-  const double tol = singular_tolerance * std::max(std::abs(diag), 1.0);
+  const double tol = kSingularTolerance * std::max(std::abs(diag), 1.0);
   if (!schur_.append(cross_.data(), diag, tol)) return false;
 
   double* dst = hinv_rows_.row_ptr(nw);
@@ -155,8 +163,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
     const num::CholeskyFactorization& h_chol, const num::Matrix& h,
     const num::Matrix& a, const num::ShortRows* a_short, const num::Vector& g,
     const num::Vector& b, const std::vector<std::size_t>& warm_active,
-    const DenseActiveSetOptions& options, num::Vector& v,
-    num::Vector& lambda) {
+    num::Vector& v, num::Vector& lambda) {
   const std::size_t n = a.cols();
   const std::size_t m = a.rows();
   EVC_EXPECT(a_short == nullptr || a_short->len.size() == m,
@@ -171,6 +178,8 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
   DenseActiveSetOutput out;
   const double inf = std::numeric_limits<double>::infinity();
   const std::size_t cap = std::min(m, n);
+  // Dual-step cap, derived from the problem's size (see the header).
+  const std::size_t max_steps = 2 * (m + n);
 
   // Unconstrained minimizer w = H⁻¹(−g): the anchor every working-set EQP
   // solution is expressed against (g never changes within one solve).
@@ -189,7 +198,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
   for (std::size_t idx : warm_active) {
     if (idx >= m || in_active_[idx] != 0) continue;
     if (active_.size() >= cap) break;
-    try_add(h_chol, a, a_short, idx, options.singular_tolerance);
+    try_add(h_chol, a, a_short, idx);
   }
 
   // Phase 0 — prune the seed down to a dual-feasible working set: solve the
@@ -199,7 +208,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
   // problem that ignores every row outside W — the Goldfarb–Idnani
   // invariant phase 1 maintains.
   for (;;) {
-    if (++out.iterations > options.max_iterations) {
+    if (++out.iterations > max_steps) {
       out.status = QpStatus::kMaxIterations;
       return out;
     }
@@ -210,8 +219,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
     schur_.solve_in_place(lam_w_.data());
     to_remove_.clear();
     for (std::size_t t = 0; t < nw; ++t)
-      if (lam_w_[t] <
-          -options.tolerance * std::max(1.0, std::abs(b[active_[t]])))
+      if (lam_w_[t] < -kTolerance * std::max(1.0, std::abs(b[active_[t]])))
         to_remove_.push_back(t);
     if (to_remove_.empty()) break;
     for (std::size_t r = to_remove_.size(); r-- > 0;) {
@@ -244,7 +252,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
         p = i;
       }
     }
-    if (p == m || worst <= options.tolerance) break;  // primal feasible
+    if (p == m || worst <= kTolerance) break;  // primal feasible
 
     // H⁻¹a_p once per target constraint; r and κ refresh after every drop.
     const double* a_p = a.row_ptr(p);
@@ -256,7 +264,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
     double lam_p = 0.0;
 
     for (;;) {
-      if (++out.iterations > options.max_iterations) {
+      if (++out.iterations > max_steps) {
         out.status = QpStatus::kMaxIterations;
         return out;
       }
@@ -273,7 +281,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
       double kappa = diag;
       for (std::size_t t = 0; t < nw; ++t) kappa -= cross_[t] * r_w_[t];
       const bool curved =
-          kappa > options.singular_tolerance * std::max(std::abs(diag), 1.0);
+          kappa > kSingularTolerance * std::max(std::abs(diag), 1.0);
 
       // First dual blocking step: the working-set row whose multiplier
       // reaches zero soonest as λ_p grows.
@@ -291,7 +299,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
       const double mu = std::min(mu_full, mu_block);
       if (!(mu < inf)) {
         // No curvature toward p and nothing to drop: the constraints are
-        // inconsistent to working precision. Let the caller fall back.
+        // inconsistent to working precision — the subproblem is infeasible.
         out.status = QpStatus::kNumericalIssue;
         return out;
       }
@@ -309,7 +317,7 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
         // diag just computed (κ > 0 guarantees the pivot) and move on.
         if (nw >= cap ||
             !schur_.append(cross_.data(), diag,
-                           options.singular_tolerance *
+                           kSingularTolerance *
                                std::max(std::abs(diag), 1.0))) {
           out.status = QpStatus::kNumericalIssue;
           return out;
@@ -335,8 +343,8 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
   // The dual loop reaches the right working set, but its v and λ_W carry
   // rounding error accumulated across every incremental step (each one
   // reuses an up/downdated factor). Refining against H itself restores
-  // direct-solve accuracy — the condensed backend needs this to match the
-  // interior-point reference to its own tolerance.
+  // direct-solve accuracy, which the condensed backend's full-space KKT
+  // certificate (tests/condensed_qp_test) holds to 1e-8.
   const std::size_t nw_fin = active_.size();
   for (int pass = 0; pass < 1; ++pass) {
     // Stationarity residual r = −(H·v + g + A_Wᵀλ_W), then t = H⁻¹r.

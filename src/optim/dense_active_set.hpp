@@ -6,15 +6,14 @@
 // — the input-space subproblem produced by the condensed MPC backend
 // (optim/condensed_qp). The receding-horizon usage pattern is a sequence of
 // nearly identical QPs whose optimal active set changes little from one
-// solve to the next, which is the regime where an active-set method beats
-// the interior point. Measured on Fig. 5's closed-loop ECE_EUDC run at
-// 35 °C, whose 1,836 warm solves are each seeded with the previous
-// subproblem's final working set united with its multiplier support: a
-// mean of 5.8 dual steps per solve, 53 % confirm optimality in one step,
-// and 17 % still take 17–32 steps. Almost all of that tail (300 of 313) is
-// later SQP iterations inside a plan; each plan's first subproblem averages
-// 4.8 steps. Seeded from the multiplier support alone, the same solves took
-// a mean of 31.9 steps and none took 2 or fewer.
+// solve to the next, which is the regime where an active-set method
+// shines. Measured on Fig. 5's closed-loop ECE_EUDC run at 35 °C, whose
+// 1,836 warm solves are each seeded with the previous subproblem's final
+// working set: a mean of 5.8 dual steps per solve, 53 % confirm optimality
+// in one step, and 17 % still take 17–32 steps. Almost all of that tail
+// (300 of 313) is later SQP iterations inside a plan; each plan's first
+// subproblem averages 4.8 steps. Seeded from the multiplier support alone,
+// the same solves took a mean of 31.9 steps and none took 2 or fewer.
 //
 // Method: dual active set (Goldfarb–Idnani). Start at the optimum of a
 // relaxed problem — the seeded working set W, pruned of any row whose
@@ -31,8 +30,9 @@
 // rows (the condensed MPC cost is exactly that: linear power and slack
 // terms, curvature only from the SoC/comfort quadratics and the SQP
 // regularization). A correct warm seed short-circuits to one EQP solve plus
-// one feasibility scan. Matches the interior-point solution to tight
-// tolerance by construction (tests/dense_active_set_test asserts it).
+// one feasibility scan. tests/dense_active_set_test checks the result's
+// KKT certificate and, on small problems, the optimum found by enumerating
+// every working set.
 //
 // Rows of A with at most two nonzeros — about 110 of the condensed MPC's
 // 192, and most of a working set, since bounds on one input condense to one
@@ -51,10 +51,17 @@
 // owned by the *caller* and passed in: the condensed backend factors its
 // reduced Hessian once per subproblem, before this solver runs.
 //
+// Step cap: 2·(m + n) dual steps, derived from the problem's size rather
+// than fixed. Finite termination gives no useful bound of its own, so the
+// factor comes from measurement: the longest solves seen took 251–270
+// steps on the MPC's m + n = 252 subproblem (chaos soak, a plan's first
+// SQP iteration after a fault), every other solve seen took at most 169,
+// and the cap there is 504.
+//
 // Failure honesty: a singular Schur append (numerically dependent working
-// rows), a stalled sweep, or the iteration cap all surface as a non-usable
-// status. The caller falls back to the interior-point path for that
-// subproblem — this solver is the fast path, never the only path.
+// rows), an infeasible subproblem (no curvature toward a violated row and
+// nothing to drop) or the step cap all surface as a non-usable status. The
+// SQP layer then stops with kQpFailure and the supervisor demotes.
 #pragma once
 
 #include <cstddef>
@@ -110,21 +117,6 @@ class SchurCholesky {
   std::vector<double> v_;  ///< rank-one update scratch
 };
 
-struct DenseActiveSetOptions {
-  /// Cap on dual steps (adds + drops + the seed-pruning passes). A correct
-  /// warm seed confirms in 1; a cold solve of an LP-like problem performs
-  /// about one step per optimal active row, so size this ≳ 2·n.
-  std::size_t max_iterations = 200;
-  /// Feasibility/optimality margin, scaled per row by max(1, |b_i|):
-  /// constraint i counts as violated when a_iᵀv − b_i exceeds it, and a
-  /// working-set multiplier as wrong-signed when below its negative.
-  double tolerance = 1e-9;
-  /// Schur pivot acceptance (relative to the appended diagonal): below this
-  /// the candidate row is treated as dependent on the working set (κ = 0,
-  /// pure dual step).
-  double singular_tolerance = 1e-12;
-};
-
 struct DenseActiveSetOutput {
   QpStatus status = QpStatus::kNumericalIssue;
   std::size_t iterations = 0;   ///< dual steps performed (adds + drops)
@@ -143,11 +135,11 @@ class DenseActiveSetSolver {
   /// dots are then formed from those entries. `warm_active`
   /// seeds the working set with constraint indices, added in the order
   /// given (a row numerically dependent on those before it is skipped; the
-  /// condensed backend passes the previous working set united with its
-  /// multiplier support, ascending), and may be empty for a cold start.
+  /// condensed backend passes the previous subproblem's working set,
+  /// ascending), and may be empty for a cold start.
   /// On success `v` holds the primal solution and `lambda` the
   /// full-length multiplier vector (zero at inactive rows). On failure the
-  /// outputs are unspecified and the caller should fall back.
+  /// outputs are unspecified.
   ///
   /// Deterministic: the result is a pure function of the inputs — no state
   /// carries across calls, so a checkpoint-restored controller replays the
@@ -157,7 +149,6 @@ class DenseActiveSetSolver {
                              const num::ShortRows* a_short,
                              const num::Vector& g, const num::Vector& b,
                              const std::vector<std::size_t>& warm_active,
-                             const DenseActiveSetOptions& options,
                              num::Vector& v, num::Vector& lambda);
 
   /// Working set of the most recent successful solve, in insertion order
@@ -170,8 +161,7 @@ class DenseActiveSetSolver {
 
  private:
   bool try_add(const num::CholeskyFactorization& h_chol, const num::Matrix& a,
-               const num::ShortRows* a_short, std::size_t idx,
-               double singular_tolerance);
+               const num::ShortRows* a_short, std::size_t idx);
   void remove_at(std::size_t pos);
   void ensure_hinv_rows(std::size_t rows, std::size_t cols);
 

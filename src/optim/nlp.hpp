@@ -40,11 +40,13 @@ class NlpProblem {
   virtual const num::Matrix& ineq_matrix() const = 0;
   virtual const num::Vector& ineq_vector() const = 0;
 
-  /// Elimination order for the condensed QP backend (optim/condensed_qp),
-  /// or nullptr when the problem does not offer one (the solver then stays
-  /// on the sparse path regardless of the requested backend). The plan must
-  /// be finalized and valid for every linearization this problem produces.
-  virtual const CondensingPlan* condensing_plan() const { return nullptr; }
+  /// Elimination order for the SQP's QP solver (optim/condensed_qp):
+  /// which equality row is solved for which variable. The plan must be
+  /// finalized and fit the problem (num_vars(), num_eq() and at least one
+  /// free variable); the solver rejects one that does not with
+  /// EVC_EXPECT. A linearization whose pivots or triangularity fail the
+  /// plan ends the solve with kQpFailure.
+  virtual const CondensingPlan* condensing_plan() const = 0;
 };
 
 }  // namespace evc::opt

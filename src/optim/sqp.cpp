@@ -155,32 +155,28 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
   result.x = x0;
   double nu = options_.initial_penalty;
 
+  const CondensingPlan* plan = problem.condensing_plan();
+  EVC_EXPECT(plan != nullptr, "SQP problem offers no condensing plan");
+
   // The cost Hessian and the inequality system are fixed across
   // iterations: regularize and copy them into the reused QP subproblem, and
-  // gather their nonzeros, once per solve. H's view is only read by the
-  // condensed path, so it is gathered only when that path can run.
-  const CondensingPlan* plan = options_.backend == QpBackend::kCondensed
-                                   ? problem.condensing_plan()
-                                   : nullptr;
+  // gather their nonzeros, once per solve.
   qp_.h = problem.cost_hessian(x0);
   for (std::size_t i = 0; i < n; ++i)
     qp_.h(i, i) += options_.hessian_regularization;
-  if (plan != nullptr) nz_.h.assign(qp_.h);
+  nz_.h.assign(qp_.h);
   qp_.a_mat.copy_from(a_mat);
   nz_.a.assign(a_mat);
 
-  // Dual seed for the first QP subproblem (receding-horizon warm start).
-  bool have_qp_warm = false;
+  // Working-set seed for the first QP subproblem (receding-horizon warm
+  // start); each later subproblem is seeded with its predecessor's final
+  // working set, kept in result.active_ineq.
+  const std::vector<std::size_t>* qp_seed = nullptr;
   if (warm != nullptr && warm->y_eq.size() == problem.num_eq() &&
-      warm->z_ineq.size() == b_vec.size()) {
-    num::copy_into(warm->y_eq, qp_warm_.y_eq);
-    num::copy_into(warm->z_ineq, qp_warm_.z_ineq);
-    qp_warm_.active_ineq = warm->active_ineq;
-    have_qp_warm = true;
-  }
+      warm->z_ineq.size() == b_vec.size())
+    qp_seed = &warm->active_ineq;
 
   MeritEval cur = evaluate_merit(problem, nz_.a, b_vec, result.x, ax_);
-  bool have_duals = false;
 
   const rt::Deadline deadline =
       rt::Deadline::from_budget_s(options_.time_budget_s);
@@ -189,18 +185,9 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
     // Deadline watchdog: give up between iterations (the iterate is always
     // coherent there) and report kTimeout so the caller can degrade instead
     // of silently trusting a half-optimized plan.
-    QpOptions qp_opts = options_.qp;
-    if (deadline.active()) {
-      const double left = deadline.remaining_s();
-      if (iter > 0 && left <= 0.0) {
-        result.status = SqpStatus::kTimeout;
-        break;
-      }
-      // Cap the subproblem's own deadline at what is left of ours.
-      const double cap = std::max(left, 1e-4);
-      qp_opts.time_budget_s = qp_opts.time_budget_s > 0.0
-                                  ? std::min(qp_opts.time_budget_s, cap)
-                                  : cap;
+    if (iter > 0 && deadline.active() && deadline.remaining_s() <= 0.0) {
+      result.status = SqpStatus::kTimeout;
+      break;
     }
     result.iterations = iter + 1;
     const num::Vector grad = problem.cost_gradient(result.x);
@@ -218,70 +205,26 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
     nz_.a.gemv(-1.0, a_mat, result.x.ptr(), qp_.b_vec.ptr());
     qp_.b_vec += b_vec;
 
-    // The QP decision variable is the *step*, so the primal seed is zero;
-    // the previous subproblem (or receding-horizon predecessor) seeds the
-    // rest: the condensed active set starts from its final working set
-    // united with its multiplier support, the interior-point fallback from
-    // its multiplier values.
-    const QpWarmStart* qp_seed = nullptr;
-    if (have_qp_warm) {
-      qp_warm_.x.assign(n, 0.0);
-      qp_seed = &qp_warm_;
-    }
-
-    // A usable result must also be finite — a diverged iterate poisons the
-    // line search otherwise.
-    const auto finite_result = [n](const QpResult& r) {
-      if (!r.usable()) return false;
-      for (std::size_t i = 0; i < n; ++i)
-        if (!std::isfinite(r.x[i])) return false;
-      return true;
-    };
-
-    QpResult qp_result;
-    bool solved = false;
-    // Condensed fast path: one attempt against the pristine subproblem.
-    // Anything it cannot handle — no plan, stale structure, active-set
-    // breakdown — falls through to the interior-point loop below, whose
-    // regularize-and-retry covers the condensed failure modes too.
-    if (plan != nullptr) {
-      qp_result = condensed_.solve(qp_, nz_, *plan, options_.condensed,
-                                   qp_ws_.counters_mut(), qp_seed);
-      solved = finite_result(qp_result);
-      if (!solved) ++qp_ws_.counters_mut().condensed_fallbacks;
-    }
-    if (!solved) {
-      // The retries convexify this subproblem only: H's diagonal is put
-      // back afterwards, so no extra regularization reaches a later one.
-      h_diag_.resize(n);
-      for (std::size_t i = 0; i < n; ++i) h_diag_[i] = qp_.h(i, i);
-      double extra_reg = options_.hessian_regularization;
-      for (int attempt = 0; attempt < 5; ++attempt) {
-        qp_result = solve_qp(qp_, qp_opts, qp_ws_, qp_seed);
-        if (finite_result(qp_result)) break;
-        qp_result.status = QpStatus::kNumericalIssue;
-        // Singular or diverging KKT: convexify harder and retry (cold — the
-        // warm seed did not help this subproblem).
-        qp_seed = nullptr;
-        extra_reg = std::max(extra_reg * 100.0, 1e-6);
-        for (std::size_t i = 0; i < n; ++i) qp_.h(i, i) += extra_reg;
-      }
-      for (std::size_t i = 0; i < n; ++i) qp_.h(i, i) = h_diag_[i];
-    }
-    if (!qp_result.usable()) {
+    // An unusable or non-finite subproblem solution ends the solve: no
+    // step is taken that no QP solved.
+    const QpResult qp_result =
+        condensed_.solve(qp_, nz_, *plan, qp_counters_, qp_seed);
+    bool finite = qp_result.usable();
+    for (std::size_t i = 0; finite && i < n; ++i)
+      finite = std::isfinite(qp_result.x[i]);
+    if (!finite) {
       result.status = SqpStatus::kQpFailure;
       break;
     }
     result.qp_iterations_total += qp_result.iterations;
     const num::Vector& d = qp_result.x;
 
-    // Carry the multipliers and working set into the next subproblem's
-    // warm start and the final result.
-    num::copy_into(qp_result.y_eq, qp_warm_.y_eq);
-    num::copy_into(qp_result.z_ineq, qp_warm_.z_ineq);
-    qp_warm_.active_ineq = qp_result.active_ineq;
-    have_qp_warm = true;
-    have_duals = true;
+    // Carry the multipliers and working set into the final result; the
+    // working set also seeds the next subproblem.
+    num::copy_into(qp_result.y_eq, result.y_eq);
+    num::copy_into(qp_result.z_ineq, result.z_ineq);
+    result.active_ineq = qp_result.active_ineq;
+    qp_seed = &result.active_ineq;
 
     if (d.norm_inf() <= options_.step_tolerance &&
         cur.eq_inf <= options_.constraint_tolerance &&
@@ -352,18 +295,12 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
       }
     }
     if (!stepped) {
-      // The merit cannot be decreased along this direction. A starved QP
-      // subproblem (timeout after its first iterations) produces junk
-      // directions, so a failed line search says nothing then — surface the
-      // timeout instead of masking it as stagnation. Otherwise accept
+      // The merit cannot be decreased along this direction: accept
       // convergence at a feasible iterate or report max-iterations.
-      if (qp_result.status == QpStatus::kTimeout)
-        result.status = SqpStatus::kTimeout;
-      else
-        result.status = (cur.eq_inf <= options_.constraint_tolerance &&
-                         cur.ineq_inf <= options_.constraint_tolerance)
-                            ? SqpStatus::kConverged
-                            : SqpStatus::kMaxIterations;
+      result.status = (cur.eq_inf <= options_.constraint_tolerance &&
+                       cur.ineq_inf <= options_.constraint_tolerance)
+                          ? SqpStatus::kConverged
+                          : SqpStatus::kMaxIterations;
       break;
     }
     // Merit stagnation at a feasible iterate: converged for all practical
@@ -397,11 +334,6 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
   sqp_span.arg("soc_steps", static_cast<double>(result.soc_steps));
   result.cost = cur.f;
   result.constraint_violation = cur.viol_inf();
-  if (have_duals) {
-    result.y_eq = qp_warm_.y_eq;
-    result.z_ineq = qp_warm_.z_ineq;
-    result.active_ineq = qp_warm_.active_ineq;
-  }
   return result;
 }
 

@@ -7,19 +7,22 @@
 // The paper prescribes exactly this solver family for the HVAC MPC
 // (Kelman & Borrelli, IFAC'11 — bilinear HVAC MPC via SQP).
 //
-// Hot-path behaviour: the solver owns a persistent QpWorkspace and a reused
-// QP subproblem, so consecutive iterations (and consecutive solves on a
-// receding horizon) share storage, and each iteration pays only for what
-// changed. The cost Hessian is read and regularized once per solve (an
-// interior-point retry's extra regularization is undone before the next
-// subproblem), and the nonzeros of H and A are gathered once per solve and
-// those of J once per iteration (QpNonzeros): the condensing, b − A·x, the
-// merit's A·x and the second-order correction's J·Jᵀ all walk them, with
-// the dense kernels' bits. Each subproblem's multipliers and final working
-// set seed the next one — the condensed active set starts from the working
-// set united with the multiplier support, the interior-point fallback from
-// the multiplier values — and the solve returns both, so the caller can
-// carry them into the next receding-horizon solve. The merit value of an
+// Every subproblem is solved by the condensed dense active set
+// (optim/condensed_qp) along the problem's CondensingPlan, which every
+// NlpProblem must provide. A subproblem it cannot solve — infeasible, a
+// breakdown, or the active set's step cap — ends the solve with kQpFailure,
+// so the caller never applies a step no QP solved.
+//
+// Hot-path behaviour: the solver owns a persistent condensed solver and a
+// reused QP subproblem, so consecutive iterations (and consecutive solves
+// on a receding horizon) share storage, and each iteration pays only for
+// what changed. The cost Hessian is read and regularized once per solve,
+// and the nonzeros of H and A are gathered once per solve and those of J
+// once per iteration (QpNonzeros): the condensing, b − A·x, the merit's A·x
+// and the second-order correction's J·Jᵀ all walk them, with the dense
+// kernels' bits. Each subproblem's final working set seeds the next one,
+// and the solve returns it with the multipliers, so the caller can carry
+// them into the next receding-horizon solve. The merit value of an
 // accepted line-search candidate is cached so the next iteration does not
 // re-evaluate cost/constraints at the same point.
 #pragma once
@@ -31,6 +34,7 @@
 #include "optim/condensed_qp.hpp"
 #include "optim/nlp.hpp"
 #include "optim/qp.hpp"
+#include "optim/solve_status.hpp"
 
 namespace evc::opt {
 
@@ -38,7 +42,7 @@ enum class SqpStatus {
   kConverged,       ///< step and constraint violation below tolerance
   kMaxIterations,   ///< best iterate returned
   kTimeout,         ///< wall-clock budget exhausted; best iterate returned
-  kQpFailure,       ///< QP subproblem unsolvable even with elastic relaxation
+  kQpFailure,       ///< a QP subproblem had no usable, finite solution
 };
 
 /// Coarse classification for control-layer callers (see solve_status.hpp).
@@ -49,10 +53,8 @@ struct SqpOptions {
   double step_tolerance = 1e-6;        ///< ‖d‖∞ for convergence
   double constraint_tolerance = 1e-6;  ///< ‖c(x)‖∞ for convergence
   /// Wall-clock budget for one solve (s); 0 disables the deadline. Checked
-  /// before every SQP iteration, and the remaining budget caps each QP
-  /// subproblem's own deadline, so a stalled subproblem cannot blow through
-  /// the control step. On expiry the best iterate so far is returned with
-  /// status kTimeout.
+  /// before every SQP iteration after the first; on expiry the best iterate
+  /// so far is returned with status kTimeout.
   double time_budget_s = 0.0;
   double initial_penalty = 10.0;       ///< ν for the ℓ1 merit
   double hessian_regularization = 1e-8;
@@ -67,22 +69,16 @@ struct SqpOptions {
   /// that loss so the unit step — and with it fast local convergence —
   /// survives.
   bool second_order_correction = true;
-  QpOptions qp;
-  /// QP engine for the subproblems. kCondensed routes each subproblem
-  /// through the condensed dense active-set path when the problem offers a
-  /// CondensingPlan, falling back to the sparse interior point on any
-  /// failure (and always when no plan exists). kSparse forces the interior
-  /// point — the reference the condensed path is tested against.
-  QpBackend backend = QpBackend::kCondensed;
-  CondensedQpOptions condensed;
+  /// QP engine for the subproblems: always the condensed dense active set.
+  /// Not settable; benchmark artifacts record its name.
+  static constexpr QpBackend backend = QpBackend::kCondensed;
 };
 
 struct SqpResult {
   SqpStatus status = SqpStatus::kQpFailure;
   num::Vector x;
   /// Final QP multipliers (equality / inequality) and working set
-  /// (ascending; empty when the interior point solved the last
-  /// subproblem): the dual state to carry into the next receding-horizon
+  /// (ascending): the dual state to carry into the next receding-horizon
   /// solve as an SqpWarmStart. Empty when no QP subproblem succeeded.
   num::Vector y_eq;
   num::Vector z_ineq;
@@ -100,8 +96,9 @@ struct SqpResult {
 };
 
 /// Dual seed for the first QP subproblem of a solve — typically the final
-/// multipliers and working set of the previous receding-horizon step.
-/// Mismatched multiplier sizes are ignored (cold start).
+/// multipliers and working set of the previous receding-horizon step. The
+/// working set seeds the subproblem; a seed whose multiplier sizes do not
+/// match the problem is ignored (cold start).
 struct SqpWarmStart {
   num::Vector y_eq;
   num::Vector z_ineq;
@@ -134,32 +131,27 @@ class SqpSolver {
   SqpResult solve(const NlpProblem& problem, const num::Vector& x0,
                   const SqpWarmStart* warm = nullptr) const;
 
-  /// Perf counters aggregated over every QP subproblem solved through this
-  /// solver's workspace.
-  const QpPerfCounters& qp_counters() const { return qp_ws_.counters(); }
-  void reset_qp_counters() const { qp_ws_.reset_counters(); }
+  /// Perf counters aggregated over every QP subproblem this solver solved.
+  const QpPerfCounters& qp_counters() const { return qp_counters_; }
+  void reset_qp_counters() const { qp_counters_ = QpPerfCounters{}; }
   /// Checkpoint-restore path: reinstate aggregate counters saved from a
   /// previous solver instance.
   void restore_qp_counters(const QpPerfCounters& counters) const {
-    qp_ws_.restore_counters(counters);
+    qp_counters_ = counters;
   }
-  /// Bytes held by the persistent QP workspace.
-  std::size_t workspace_bytes() const {
-    return qp_ws_.bytes() + condensed_.bytes();
-  }
+  /// Bytes held by the persistent QP workspace (capacity, not size).
+  std::size_t workspace_bytes() const { return condensed_.bytes(); }
 
  private:
   SqpOptions options_;
   // Persistent hot-path storage (see class comment): reused across
   // iterations and across solves.
-  mutable QpWorkspace qp_ws_;
+  mutable QpPerfCounters qp_counters_;
   mutable CondensedQpSolver condensed_;
   mutable QpProblem qp_;
-  mutable QpWarmStart qp_warm_;
   mutable num::Vector candidate_;
   /// Nonzeros of H and A (once per solve) and J (once per iteration).
   mutable QpNonzeros nz_;
-  mutable num::Vector h_diag_;  ///< H's diagonal, kept across QP retries
   mutable num::Vector ax_;
   mutable SocWorkspace soc_;
   mutable num::Vector soc_candidate_;

@@ -44,7 +44,7 @@ class Deadline {
     return Deadline(Clock::now() + to_duration(seconds));
   }
 
-  /// The `time_budget_s` contract shared by QpOptions/SqpOptions: a
+  /// The `time_budget_s` contract of SqpOptions: a
   /// positive budget arms the deadline, zero or negative disables it.
   static Deadline from_budget_s(double budget_s) {
     return budget_s > 0.0 ? after_s(budget_s) : never();

@@ -40,8 +40,11 @@ namespace evc::sim {
 /// v5: the MPC section drops v3's backend cache section (the condensed QP
 ///     path keeps no cross-solve state).
 /// v6: the MPC section carries the last plan's QP working set next to its
-///     multipliers, and its QP counter block gains condensed_fallbacks.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 6;
+///     multipliers, and its QP counter block gains a fallback count.
+/// v7: the QP counter block drops the counters of the deleted
+///     interior-point solver, the fallback count, and the always-zero
+///     dense_fallbacks and workspace_growths.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 7;
 
 /// I/O failure while writing or reading a checkpoint file (open, short
 /// write, fsync, rename). Distinct from SerializationError — the content

@@ -233,9 +233,7 @@ TEST(SessionCheckpoint, MpcCheckpointStaysSmallOnCondensedBackend) {
   const auto profile =
       drive::make_cycle_profile(drive::StandardCycle::kEceEudc, 35.0)
           .window(0, 60);
-  core::MpcOptions mpc_options;
-  mpc_options.sqp.backend = opt::QpBackend::kCondensed;
-  auto controller = core::make_mpc_controller(params, mpc_options);
+  auto controller = core::make_mpc_controller(params);
   core::SimulationSession session(params, *controller, profile, {});
   while (controller->stats().plans < 3) session.advance();
   ASSERT_GT(controller->stats().solver.condensed_solves, 0u);

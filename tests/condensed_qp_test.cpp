@@ -1,8 +1,8 @@
-// Condensed QP backend: agreement with the sparse interior-point path on
-// real MPC subproblems across randomized horizons and constraint patterns,
+// Condensed QP solver: the full-space KKT certificate on real MPC
+// subproblems across randomized horizons and constraint patterns,
 // statelessness (bit-identical results whatever was solved before) and its
-// counter accounting, working-set warm starts, interior-point fallback
-// accounting, controller checkpoint round-trips, and the backend default.
+// counter accounting, working-set warm starts, the condensing-plan
+// contract, controller checkpoint round-trips, and the one backend.
 #include "optim/condensed_qp.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "battery/battery_params.hpp"
@@ -23,7 +25,6 @@
 #include "hvac/hvac_params.hpp"
 #include "numerics/kernels.hpp"
 #include "obs/trace.hpp"
-#include "optim/qp.hpp"
 #include "optim/sqp.hpp"
 #include "util/json_parse.hpp"
 #include "util/random.hpp"
@@ -79,14 +80,13 @@ opt::QpProblem subproblem_at(const core::MpcFormulation& f,
 opt::QpResult condensed_solve(opt::CondensedQpSolver& solver,
                               const opt::QpProblem& qp,
                               const opt::CondensingPlan& plan,
-                              const opt::CondensedQpOptions& options,
                               opt::QpPerfCounters& counters,
-                              const opt::QpWarmStart* warm) {
+                              const std::vector<std::size_t>* warm) {
   opt::QpNonzeros nz;
   nz.h.assign(qp.h);
   nz.e.assign(qp.e_mat);
   nz.a.assign(qp.a_mat);
-  return solver.solve(qp, nz, plan, options, counters, warm);
+  return solver.solve(qp, nz, plan, counters, warm);
 }
 
 /// Small random perturbation of the cold start — a plausible SQP iterate, so
@@ -108,15 +108,16 @@ struct KktReport {
   double stationarity = 0.0;   ///< ‖Hx + g + Eᵀy + Aᵀz‖∞
   double eq_violation = 0.0;   ///< ‖Ex − e‖∞
   double ineq_violation = 0.0; ///< max(0, Ax − b)
+  double dual_violation = 0.0; ///< max(0, −z)
   double complementarity = 0.0;
 };
 
 /// Full-space KKT residuals of a claimed solution — the solver-independent
-/// optimality certificate both backends are measured against. (The QP has
-/// near-flat valleys — slack directions carry only the 1e-6 SQP
-/// regularization — so primal *coordinates* are only determined to about
-/// residual/curvature; two correct solvers can sit ~1e-5 apart in x while
-/// both are within 1e-8 of the optimum in objective and KKT terms.)
+/// optimality certificate of a convex QP. (The QP has near-flat valleys —
+/// slack directions carry only the 1e-6 SQP regularization — so primal
+/// *coordinates* are only determined to about residual/curvature; the
+/// certificate, not a coordinate comparison, is what pins a solution
+/// down.)
 KktReport kkt_report(const opt::QpProblem& qp, const opt::QpResult& r) {
   const std::size_t n = qp.num_vars();
   KktReport out;
@@ -125,10 +126,12 @@ KktReport kkt_report(const opt::QpProblem& qp, const opt::QpResult& r) {
   for (std::size_t j = 0; j < n; ++j)
     out.objective += (0.5 * stat[j] + qp.g[j]) * r.x[j];
   for (std::size_t j = 0; j < n; ++j) stat[j] += qp.g[j];
-  num::gemv_t(1.0, qp.e_mat, r.y_eq, 1.0, stat);
-  num::gemv_t(1.0, qp.a_mat, r.z_ineq, 1.0, stat);
+  stat += qp.e_mat.transpose_times(r.y_eq);
+  stat += qp.a_mat.transpose_times(r.z_ineq);
   for (std::size_t j = 0; j < n; ++j)
     out.stationarity = std::max(out.stationarity, std::abs(stat[j]));
+  for (std::size_t i = 0; i < qp.num_ineq(); ++i)
+    out.dual_violation = std::max(out.dual_violation, -r.z_ineq[i]);
   num::Vector ex(qp.num_eq());
   num::gemv(1.0, qp.e_mat, r.x, 0.0, ex);
   for (std::size_t i = 0; i < qp.num_eq(); ++i)
@@ -143,54 +146,34 @@ KktReport kkt_report(const opt::QpProblem& qp, const opt::QpResult& r) {
   return out;
 }
 
-TEST(CondensedQpTest, MatchesSparseBackendAcrossHorizonsAndPatterns) {
+/// Every KKT residual of `cert` within `tol`.
+void expect_certified(const KktReport& cert, double tol) {
+  EXPECT_LE(cert.stationarity, tol);
+  EXPECT_LE(cert.eq_violation, tol);
+  EXPECT_LE(cert.ineq_violation, tol);
+  EXPECT_LE(cert.dual_violation, tol);
+  EXPECT_LE(cert.complementarity, tol);
+}
+
+TEST(CondensedQpTest, SatisfiesKktAcrossHorizonsAndPatterns) {
+  // 1e-8 in the quantities double precision actually pins down: the
+  // condensed solution's full-space KKT certificate against the original
+  // (uncondensed) problem — stationarity, feasibility, dual sign and
+  // complementarity all ≤ 1e-8.
   for (const std::size_t horizon : {4u, 7u, 12u}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("h=" + std::to_string(horizon) +
+                   " seed=" + std::to_string(seed));
       const auto f = make_formulation(horizon, 100 * horizon + seed);
       const num::Vector z = perturbed_iterate(f, seed, 0.01);
       const opt::QpProblem qp = subproblem_at(f, z);
 
-      opt::QpOptions sparse_opts;
-      sparse_opts.tolerance = 1e-10;
-      sparse_opts.max_iterations = 200;
-      const opt::QpResult sparse = opt::solve_qp(qp, sparse_opts);
-      ASSERT_EQ(sparse.status, opt::QpStatus::kSolved)
-          << "h=" << horizon << " seed=" << seed;
-
       opt::CondensedQpSolver solver;
       opt::QpPerfCounters counters;
-      const opt::QpResult condensed =
-          condensed_solve(solver, qp, *f.condensing_plan(),
-                          opt::CondensedQpOptions{}, counters, nullptr);
-      ASSERT_TRUE(condensed.usable()) << "h=" << horizon << " seed=" << seed;
-
-      // 1e-8 agreement in the quantities double precision actually pins
-      // down: the condensed solution's full-space KKT certificate (absolute
-      // optimality — stationarity, feasibility, complementarity all ≤ 1e-8)
-      // and its objective never worse than the interior-point reference
-      // beyond 1e-8 relative. The reference itself stops with ~1e-6
-      // objective error in the flat valleys (it has no such certificate),
-      // so the bound is one-sided and coordinates are only compared at the
-      // flat-valley limit — see kkt_report's comment.
-      const KktReport cert = kkt_report(qp, condensed);
-      const KktReport ref = kkt_report(qp, sparse);
-      EXPECT_LE(cert.objective,
-                ref.objective + 1e-8 * (1.0 + std::abs(ref.objective)))
-          << "h=" << horizon << " seed=" << seed;
-      EXPECT_LE(cert.stationarity, 1e-8)
-          << "h=" << horizon << " seed=" << seed;
-      EXPECT_LE(cert.eq_violation, 1e-8)
-          << "h=" << horizon << " seed=" << seed;
-      EXPECT_LE(cert.ineq_violation, 1e-8)
-          << "h=" << horizon << " seed=" << seed;
-      EXPECT_LE(cert.complementarity, 1e-8)
-          << "h=" << horizon << " seed=" << seed;
-      double scale = 1.0;
-      for (std::size_t i = 0; i < qp.num_vars(); ++i)
-        scale = std::max(scale, std::abs(sparse.x[i]));
-      for (std::size_t i = 0; i < qp.num_vars(); ++i)
-        EXPECT_NEAR(condensed.x[i], sparse.x[i], 1e-3 * scale)
-            << "h=" << horizon << " seed=" << seed << " var " << i;
+      const opt::QpResult condensed = condensed_solve(
+          solver, qp, *f.condensing_plan(), counters, nullptr);
+      ASSERT_TRUE(condensed.usable());
+      expect_certified(kkt_report(qp, condensed), 1e-8);
     }
   }
 }
@@ -198,49 +181,39 @@ TEST(CondensedQpTest, MatchesSparseBackendAcrossHorizonsAndPatterns) {
 TEST(CondensedQpTest, ActiveSetChangesMidHorizonStillAgree) {
   // Nudge the iterate progressively further from the cold start so the
   // binding pattern (slack rows, input bounds) shifts between solves, and
-  // warm-start each solve from the previous one's multipliers — the
-  // receding-horizon usage, including active-set changes mid-horizon.
+  // warm-start each solve from the previous one's working set — the
+  // receding-horizon usage, including active-set changes mid-horizon. Each
+  // warm solve must hold the certificate and agree with a cold solve of the
+  // same subproblem in objective.
   const auto f = make_formulation(10, 77);
   opt::CondensedQpSolver solver;
   opt::QpPerfCounters counters;
-  opt::QpWarmStart warm;
-  const opt::QpWarmStart* seed = nullptr;
+  std::vector<std::size_t> warm;
+  const std::vector<std::size_t>* seed = nullptr;
   for (int step = 0; step < 6; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
     const num::Vector z = perturbed_iterate(f, 900 + step, 0.004 * step);
     const opt::QpProblem qp = subproblem_at(f, z);
 
-    opt::QpOptions sparse_opts;
-    sparse_opts.tolerance = 1e-10;
-    sparse_opts.max_iterations = 200;
-    const opt::QpResult sparse = opt::solve_qp(qp, sparse_opts);
-    ASSERT_EQ(sparse.status, opt::QpStatus::kSolved) << "step " << step;
-
+    opt::CondensedQpSolver cold_solver;
+    opt::QpPerfCounters cold_counters;
+    const opt::QpResult cold = condensed_solve(
+        cold_solver, qp, *f.condensing_plan(), cold_counters, nullptr);
+    ASSERT_TRUE(cold.usable());
     const opt::QpResult condensed =
-        condensed_solve(solver, qp, *f.condensing_plan(),
-                        opt::CondensedQpOptions{}, counters, seed);
-    ASSERT_TRUE(condensed.usable()) << "step " << step;
+        condensed_solve(solver, qp, *f.condensing_plan(), counters, seed);
+    ASSERT_TRUE(condensed.usable());
     const KktReport cert = kkt_report(qp, condensed);
-    const KktReport ref = kkt_report(qp, sparse);
-    EXPECT_LE(cert.objective,
-              ref.objective + 1e-8 * (1.0 + std::abs(ref.objective)))
-        << "step " << step;
-    EXPECT_LE(cert.stationarity, 1e-8) << "step " << step;
-    EXPECT_LE(cert.eq_violation, 1e-8) << "step " << step;
-    EXPECT_LE(cert.ineq_violation, 1e-8) << "step " << step;
-    double scale = 1.0;
-    for (std::size_t i = 0; i < qp.num_vars(); ++i)
-      scale = std::max(scale, std::abs(sparse.x[i]));
-    for (std::size_t i = 0; i < qp.num_vars(); ++i)
-      EXPECT_NEAR(condensed.x[i], sparse.x[i], 1e-3 * scale)
-          << "step " << step << " var " << i;
+    expect_certified(cert, 1e-8);
+    EXPECT_NEAR(cert.objective, kkt_report(qp, cold).objective,
+                1e-8 * (1.0 + std::abs(cert.objective)));
 
-    warm.x = condensed.x;
-    warm.y_eq = condensed.y_eq;
-    warm.z_ineq = condensed.z_ineq;
+    warm = condensed.active_ineq;
     seed = &warm;
   }
   EXPECT_EQ(counters.solves, 6u);
   EXPECT_EQ(counters.condensed_solves, 6u);
+  EXPECT_EQ(counters.warm_starts, 5u);
 }
 
 /// Bitwise equality (EXPECT_EQ on doubles would let −0 match +0).
@@ -260,22 +233,17 @@ TEST(CondensedQpTest, SolveIsPureFunctionOfProblemAndSeed) {
   const auto f = make_formulation(12, 31);
   const opt::QpProblem target =
       subproblem_at(f, perturbed_iterate(f, 31, 0.01));
-  const opt::CondensedQpOptions options;
 
   opt::CondensedQpSolver fresh;
   opt::QpPerfCounters fresh_counters;
   const auto cold = condensed_solve(fresh, target, *f.condensing_plan(),
-                                    options, fresh_counters, nullptr);
+                                    fresh_counters, nullptr);
   ASSERT_TRUE(cold.usable());
   ASSERT_FALSE(cold.active_ineq.empty());
-  opt::QpWarmStart seed;
-  seed.x = cold.x;
-  seed.y_eq = cold.y_eq;
-  seed.z_ineq = cold.z_ineq;
-  seed.active_ineq = cold.active_ineq;
+  const std::vector<std::size_t> seed = cold.active_ineq;
   opt::CondensedQpSolver fresh_warm;
   const auto warm = condensed_solve(fresh_warm, target, *f.condensing_plan(),
-                                    options, fresh_counters, &seed);
+                                    fresh_counters, &seed);
   ASSERT_TRUE(warm.usable());
 
   opt::CondensedQpSolver used;
@@ -283,25 +251,22 @@ TEST(CondensedQpTest, SolveIsPureFunctionOfProblemAndSeed) {
   std::size_t solved = 0;
   for (const std::size_t horizon : {7u, 12u}) {
     const auto other = make_formulation(horizon, 500 + horizon);
-    opt::QpWarmStart chain;
-    const opt::QpWarmStart* chain_seed = nullptr;
+    std::vector<std::size_t> chain;
+    const std::vector<std::size_t>* chain_seed = nullptr;
     for (std::uint64_t k = 0; k < 3; ++k) {
       const auto r = condensed_solve(
           used, subproblem_at(other, perturbed_iterate(other, 600 + k, 0.01)),
-          *other.condensing_plan(), options, counters, chain_seed);
+          *other.condensing_plan(), counters, chain_seed);
       ASSERT_TRUE(r.usable()) << "h=" << horizon << " k=" << k;
       ++solved;
-      chain.x = r.x;
-      chain.y_eq = r.y_eq;
-      chain.z_ineq = r.z_ineq;
-      chain.active_ineq = r.active_ineq;
+      chain = r.active_ineq;
       chain_seed = &chain;
     }
   }
   const auto cold_again = condensed_solve(used, target, *f.condensing_plan(),
-                                          options, counters, nullptr);
+                                          counters, nullptr);
   const auto warm_again = condensed_solve(used, target, *f.condensing_plan(),
-                                          options, counters, &seed);
+                                          counters, &seed);
   ASSERT_TRUE(cold_again.usable());
   ASSERT_TRUE(warm_again.usable());
   solved += 2;
@@ -327,11 +292,8 @@ TEST(CondensedQpTest, SolveIsPureFunctionOfProblemAndSeed) {
 }
 
 TEST(CondensedQpTest, WorkingSetSeedMatchesColdSolve) {
-  // A solve seeded with a neighbouring subproblem's final working set —
-  // alone, and together with that subproblem's multipliers — reaches the
-  // cold solve's optimum within the tolerances of the cross-validation
-  // sweep in dense_active_set_test (objective 1e-5 relative, x 1e-4).
-  const opt::CondensedQpOptions options;
+  // A solve seeded with a neighbouring subproblem's final working set
+  // reaches the cold solve's optimum (objective 1e-5 relative, x 1e-4).
   opt::CondensedQpSolver solver;
   opt::QpPerfCounters counters;
   for (const std::size_t horizon : {4u, 7u, 12u}) {
@@ -340,33 +302,24 @@ TEST(CondensedQpTest, WorkingSetSeedMatchesColdSolve) {
       const opt::CondensingPlan& plan = *f.condensing_plan();
       const opt::QpResult prev = condensed_solve(
           solver, subproblem_at(f, perturbed_iterate(f, seed, 0.01)), plan,
-          options, counters, nullptr);
+          counters, nullptr);
       ASSERT_TRUE(prev.usable()) << "h=" << horizon << " seed=" << seed;
       ASSERT_FALSE(prev.active_ineq.empty());
       const opt::QpProblem qp =
           subproblem_at(f, perturbed_iterate(f, seed + 50, 0.01));
       const opt::QpResult cold =
-          condensed_solve(solver, qp, plan, options, counters, nullptr);
+          condensed_solve(solver, qp, plan, counters, nullptr);
       ASSERT_TRUE(cold.usable()) << "h=" << horizon << " seed=" << seed;
 
-      opt::QpWarmStart set_only;
-      set_only.z_ineq = num::Vector(qp.num_ineq());
-      set_only.active_ineq = prev.active_ineq;
-      opt::QpWarmStart full = set_only;
-      full.x = prev.x;
-      full.y_eq = prev.y_eq;
-      full.z_ineq = prev.z_ineq;
-      for (const opt::QpWarmStart* warm : {&set_only, &full}) {
-        const opt::QpResult r =
-            condensed_solve(solver, qp, plan, options, counters, warm);
-        ASSERT_TRUE(r.usable()) << "h=" << horizon << " seed=" << seed;
-        EXPECT_NEAR(r.objective, cold.objective,
-                    1e-5 * (1.0 + std::abs(cold.objective)))
-            << "h=" << horizon << " seed=" << seed;
-        for (std::size_t i = 0; i < qp.num_vars(); ++i)
-          EXPECT_NEAR(r.x[i], cold.x[i], 1e-4)
-              << "h=" << horizon << " seed=" << seed << " var " << i;
-      }
+      const opt::QpResult r =
+          condensed_solve(solver, qp, plan, counters, &prev.active_ineq);
+      ASSERT_TRUE(r.usable()) << "h=" << horizon << " seed=" << seed;
+      EXPECT_NEAR(r.objective, cold.objective,
+                  1e-5 * (1.0 + std::abs(cold.objective)))
+          << "h=" << horizon << " seed=" << seed;
+      for (std::size_t i = 0; i < qp.num_vars(); ++i)
+        EXPECT_NEAR(r.x[i], cold.x[i], 1e-4)
+            << "h=" << horizon << " seed=" << seed << " var " << i;
     }
   }
 }
@@ -391,7 +344,7 @@ TEST(CondensedQpTest, RecedingHorizonWarmSolvesTakeFewDualSteps) {
   const core::MpcPlanStats& stats = controller->stats();
   const std::size_t warm_solves = stats.solver.solves - solves0;
   ASSERT_GT(warm_solves, 300u);
-  EXPECT_EQ(stats.solver.condensed_fallbacks, 0u);
+  EXPECT_EQ(stats.failures, 0u);
   const double mean_steps =
       static_cast<double>(stats.qp_iterations - steps0) /
       static_cast<double>(warm_solves);
@@ -428,11 +381,11 @@ TEST(CondensedQpTest, ClosedLoopTripIsPinnedBitForBit) {
 }
 
 /// An MPC window whose condensing plan is sized for a problem one variable
-/// larger: every condensed attempt fails its size check.
+/// larger, or that offers no plan at all.
 class MismatchedPlanProblem : public opt::NlpProblem {
  public:
-  explicit MismatchedPlanProblem(const core::MpcFormulation& f)
-      : f_(f), plan_(*f.condensing_plan()) {
+  MismatchedPlanProblem(const core::MpcFormulation& f, bool offer_plan)
+      : f_(f), plan_(*f.condensing_plan()), offer_plan_(offer_plan) {
     plan_.num_vars += 1;
   }
   std::size_t num_vars() const override { return f_.num_vars(); }
@@ -453,54 +406,26 @@ class MismatchedPlanProblem : public opt::NlpProblem {
   const num::Matrix& ineq_matrix() const override { return f_.ineq_matrix(); }
   const num::Vector& ineq_vector() const override { return f_.ineq_vector(); }
   const opt::CondensingPlan* condensing_plan() const override {
-    return &plan_;
+    return offer_plan_ ? &plan_ : nullptr;
   }
 
  private:
   const core::MpcFormulation& f_;
   opt::CondensingPlan plan_;
+  bool offer_plan_;
 };
 
-TEST(CondensedQpTest, FailedCondensedAttemptCountsOneFallbackPerSubproblem) {
+TEST(CondensedQpTest, MismatchedPlanIsRejected) {
+  // A plan that does not fit its problem, or none at all, is a programming
+  // error: the solve throws instead of answering by another route.
   const auto f = make_formulation(6, 11);
-  const MismatchedPlanProblem problem(f);
   const opt::SqpSolver solver(core::MpcOptions{}.sqp);
-  const opt::SqpResult result = solver.solve(problem, f.cold_start());
-  ASSERT_TRUE(result.usable());
-  ASSERT_GT(result.iterations, 1u);
-  const opt::QpPerfCounters& c = solver.qp_counters();
-  EXPECT_EQ(c.condensed_solves, 0u);
-  EXPECT_EQ(c.condensed_fallbacks, result.iterations);
-  EXPECT_GT(c.ipm_iterations, 0u);
-  // The interior point keeps no working set to hand on.
-  EXPECT_TRUE(result.active_ineq.empty());
-}
-
-TEST(CondensedQpTest, SqpEndToEndMatchesSparseBackend) {
-  const auto f = make_formulation(8, 42);
-  opt::SqpOptions sparse_opts;
-  sparse_opts.max_iterations = 12;
-  sparse_opts.backend = opt::QpBackend::kSparse;
-  opt::SqpOptions condensed_opts = sparse_opts;
-  condensed_opts.backend = opt::QpBackend::kCondensed;
-
-  const opt::SqpSolver sparse_solver(sparse_opts);
-  const opt::SqpSolver condensed_solver(condensed_opts);
-  const num::Vector x0 = f.cold_start();
-  const auto sparse = sparse_solver.solve(f, x0);
-  const auto condensed = condensed_solver.solve(f, x0);
-  ASSERT_TRUE(sparse.usable());
-  ASSERT_TRUE(condensed.usable());
-  EXPECT_GT(condensed_solver.qp_counters().condensed_solves, 0u);
-
-  // Different QP engines may walk different SQP paths on this bilinear
-  // problem; the destinations must agree — cost to a relative whisker and
-  // the same residual feasibility, whether or not this window converges
-  // within the iteration budget.
-  EXPECT_NEAR(condensed.cost, sparse.cost,
-              1e-4 * (1.0 + std::abs(sparse.cost)));
-  EXPECT_NEAR(condensed.constraint_violation, sparse.constraint_violation,
-              1e-6 * (1.0 + sparse.constraint_violation));
+  for (const bool offer_plan : {true, false}) {
+    const MismatchedPlanProblem problem(f, offer_plan);
+    EXPECT_THROW(solver.solve(problem, f.cold_start()), std::invalid_argument)
+        << "offer_plan=" << offer_plan;
+  }
+  EXPECT_EQ(solver.qp_counters().condense_rebuilds, 0u);
 }
 
 #if !defined(EVC_OBS_NO_TRACING)
@@ -570,17 +495,18 @@ TEST(CondensedQpTest, PlanSpanReportsDualSteps) {
 #endif  // !EVC_OBS_NO_TRACING
 
 TEST(CondensedQpTest, BackendNamesAndCondensedDefault) {
-  EXPECT_STREQ(opt::to_string(opt::QpBackend::kSparse), "sparse");
   EXPECT_STREQ(opt::to_string(opt::QpBackend::kCondensed), "condensed");
-  // Condensed is the default at both layers; the sparse interior point
-  // stays selectable as the reference.
-  EXPECT_EQ(opt::SqpOptions{}.backend, opt::QpBackend::kCondensed);
+  // The condensed solver is the only one, at both layers, and no option
+  // can select another.
+  EXPECT_EQ(opt::SqpOptions::backend, opt::QpBackend::kCondensed);
   EXPECT_EQ(core::MpcOptions{}.sqp.backend, opt::QpBackend::kCondensed);
+  opt::SqpOptions options;
+  static_assert(!std::is_assignable_v<decltype((options.backend)),
+                                      opt::QpBackend>);
 }
 
 TEST(CondensedQpTest, ControllerCheckpointRoundTripUnderCondensedBackend) {
-  core::MpcOptions opts;
-  opts.sqp.backend = opt::QpBackend::kCondensed;
+  const core::MpcOptions opts;
   core::MpcClimateController mpc(hvac::default_hvac_params(),
                                  bat::leaf_24kwh_params(), opts);
   ctl::ControlContext c;

@@ -1,8 +1,9 @@
-// Dense active-set solver: agreement with the interior-point reference on
-// randomized QPs, warm-start behaviour, and the incremental Schur-Cholesky
+// Dense active-set solver: the KKT certificate on randomized QPs, the
+// optimum of exhaustive active-set enumeration on small ones, warm-start
+// behaviour, honest failure, and the incremental Schur-Cholesky
 // up/downdates against a from-scratch factorization.
 //
-// The cross-validation sweeps pit two independent methods against each
+// The cross-validation sweep pits two independent methods against each
 // other, which catches solver bugs that KKT-residual checks alone can miss.
 #include "optim/dense_active_set.hpp"
 
@@ -10,17 +11,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "numerics/factorization.hpp"
 #include "numerics/matrix.hpp"
 #include "numerics/vector.hpp"
 #include "optim/qp.hpp"
+#include "qp_kkt_certificate.hpp"
 #include "util/random.hpp"
 
 namespace {
 
 using namespace evc;
+
+const std::vector<std::size_t> kNoSeed;
 
 struct DenseQp {
   num::Matrix h;
@@ -49,7 +54,7 @@ DenseQp random_dense_qp(std::size_t n, std::size_t m, std::uint64_t seed,
   return qp;
 }
 
-opt::QpResult ipm_reference(const DenseQp& qp) {
+opt::QpProblem as_problem(const DenseQp& qp) {
   opt::QpProblem p;
   p.h = qp.h;
   p.g = qp.g;
@@ -57,10 +62,7 @@ opt::QpResult ipm_reference(const DenseQp& qp) {
   p.e_vec = num::Vector(0);
   p.a_mat = qp.a;
   p.b_vec = qp.b;
-  opt::QpOptions o;
-  o.tolerance = 1e-10;
-  o.max_iterations = 100;
-  return opt::solve_qp(p, o);
+  return p;
 }
 
 // --- SchurCholesky vs from-scratch reference ------------------------------
@@ -165,36 +167,25 @@ TEST(SchurCholeskyTest, RemoveMatchesFreshFactorization) {
   }
 }
 
-// --- Solver vs interior-point reference -----------------------------------
+// --- Solver vs solver-independent optimality checks ------------------------
 
-TEST(DenseActiveSetTest, MatchesInteriorPointOnRandomQps) {
+TEST(DenseActiveSetTest, SatisfiesKktCertificateOnRandomQps) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     const std::size_t n = 8 + (seed % 5);
-    const std::size_t m = 2 * n;
-    const auto qp = random_dense_qp(n, m, seed);
-    const auto reference = ipm_reference(qp);
-    ASSERT_TRUE(reference.usable()) << "seed " << seed;
-
-    num::CholeskyFactorization h_chol;
-    ASSERT_TRUE(h_chol.factorize(qp.h));
-    opt::DenseActiveSetSolver solver;
-    num::Vector v, lambda;
-    const auto out = solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b, {},
-                                  {}, v, lambda);
-    ASSERT_TRUE(out.usable()) << "seed " << seed << " status "
-                              << static_cast<int>(out.status) << " iters "
-                              << out.iterations;
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_NEAR(v[j], reference.x[j], 1e-6)
-          << "seed " << seed << " var " << j;
-    for (std::size_t i = 0; i < m; ++i)
-      EXPECT_NEAR(lambda[i], reference.z_ineq[i], 1e-5)
-          << "seed " << seed << " row " << i;
+    const opt::QpProblem p = as_problem(random_dense_qp(n, 2 * n, seed));
+    const opt::QpResult r = opt::solve_dense(p);
+    ASSERT_TRUE(r.usable()) << "status " << static_cast<int>(r.status)
+                            << " iters " << r.iterations;
+    opt::expect_kkt_certificate(p, r);
+    EXPECT_LE(r.kkt_residual, 1e-9);
   }
 }
 
 // Small problems (n = 2..7, up to 2n rows) reach the degenerate vertices the
-// larger sweep above rarely hits.
+// larger sweep above rarely hits, and are small enough to enumerate every
+// working set. The name is kept from when the reference was an
+// interior-point solve.
 class SolverCrossValidation : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolverCrossValidation, MatchesInteriorPointOptimum) {
@@ -223,22 +214,23 @@ TEST_P(SolverCrossValidation, MatchesInteriorPointOptimum) {
     p.b_vec[r] = p.a_mat.row(r).dot(xf) + rng.uniform(0.1, 2.0);
   }
 
-  const opt::QpResult ip = opt::solve_qp(p);
-  ASSERT_EQ(ip.status, opt::QpStatus::kSolved) << "seed " << GetParam();
-  num::CholeskyFactorization h_chol;
-  ASSERT_TRUE(h_chol.factorize(p.h));
-  opt::DenseActiveSetSolver solver;
-  num::Vector v, lambda;
-  const auto as = solver.solve(h_chol, p.h, p.a_mat, nullptr, p.g, p.b_vec,
-                               {}, {}, v, lambda);
-  ASSERT_TRUE(as.usable()) << "seed " << GetParam();
+  SCOPED_TRACE("seed " + std::to_string(GetParam()));
+  const double best = opt::enumerated_optimum(p);
+  ASSERT_TRUE(std::isfinite(best));
 
-  // Strictly convex → unique optimum: both solvers must agree.
-  const double objective = 0.5 * v.dot(p.h * v) + p.g.dot(v);
-  EXPECT_NEAR(objective, ip.objective, 1e-5 * (1.0 + std::abs(ip.objective)))
-      << "seed " << GetParam();
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(v[i], ip.x[i], 1e-4) << "seed " << GetParam();
+  // Strictly convex → unique optimum: the active set must reach the best
+  // enumerated working set's objective, cold and from a seed of every row
+  // (which phase 0 must prune down to a dual-feasible set).
+  std::vector<std::size_t> every_row(mi);
+  for (std::size_t i = 0; i < mi; ++i) every_row[i] = i;
+  const std::vector<std::size_t>* seeds[] = {&kNoSeed, &every_row};
+  for (const auto* seed : seeds) {
+    const opt::QpResult r = opt::solve_dense(p, *seed);
+    ASSERT_TRUE(r.usable()) << "seeded rows " << seed->size();
+    opt::expect_kkt_certificate(p, r);
+    EXPECT_NEAR(r.objective, best, 1e-9 * (1.0 + std::abs(best)))
+        << "seeded rows " << seed->size();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverCrossValidation,
@@ -251,14 +243,14 @@ TEST(DenseActiveSetTest, WarmStartConfirmsInOneSweep) {
   ASSERT_TRUE(h_chol.factorize(qp.h));
   opt::DenseActiveSetSolver solver;
   num::Vector v, lambda;
-  const auto cold = solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b, {},
-                                 {}, v, lambda);
+  const auto cold =
+      solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b, {}, v, lambda);
   ASSERT_TRUE(cold.usable());
   const std::vector<std::size_t> warm = solver.active_set();
 
   num::Vector v2, lambda2;
   const auto rewarm = solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b,
-                                   warm, {}, v2, lambda2);
+                                   warm, v2, lambda2);
   ASSERT_TRUE(rewarm.usable());
   EXPECT_EQ(rewarm.iterations, 1u);
   EXPECT_EQ(rewarm.set_changes, 0u);
@@ -277,7 +269,7 @@ TEST(DenseActiveSetTest, UnconstrainedWhenNoRowBinds) {
   opt::DenseActiveSetSolver solver;
   num::Vector v, lambda;
   const auto out =
-      solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b, {}, {}, v, lambda);
+      solver.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b, {}, v, lambda);
   ASSERT_TRUE(out.usable());
   EXPECT_TRUE(solver.active_set().empty());
   // v = H⁻¹(−g).
@@ -286,6 +278,25 @@ TEST(DenseActiveSetTest, UnconstrainedWhenNoRowBinds) {
   h_chol.solve_into(neg_g, w);
   for (std::size_t j = 0; j < n; ++j) EXPECT_NEAR(v[j], w[j], 1e-12);
   for (std::size_t i = 0; i < m; ++i) EXPECT_DOUBLE_EQ(lambda[i], 0.0);
+}
+
+TEST(DenseActiveSetTest, InfeasibleProblemIsReported) {
+  // v ≤ −1 and −v ≤ −1: after adding one row there is no curvature toward
+  // the other and nothing to drop, so the solver says so instead of
+  // returning a point.
+  num::Matrix h(1, 1, 2.0);
+  num::CholeskyFactorization h_chol;
+  ASSERT_TRUE(h_chol.factorize(h));
+  num::Matrix a(2, 1);
+  a(0, 0) = 1.0;
+  a(1, 0) = -1.0;
+  const num::Vector g{0.0};
+  const num::Vector b{-1.0, -1.0};
+  opt::DenseActiveSetSolver solver;
+  num::Vector v, lambda;
+  const auto out = solver.solve(h_chol, h, a, nullptr, g, b, {}, v, lambda);
+  EXPECT_EQ(out.status, opt::QpStatus::kNumericalIssue);
+  EXPECT_FALSE(out.usable());
 }
 
 }  // namespace

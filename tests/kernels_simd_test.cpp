@@ -91,29 +91,10 @@ void ref_axpy(double a, const double* x, double* y, std::size_t n) {
   }
 }
 
-void ref_scale(double a, double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = a * x[i];
-}
-
 void ref_gemv(double alpha, const double* a, std::size_t lda, std::size_t rows,
               std::size_t cols, const double* x, double* y) {
   for (std::size_t i = 0; i < rows; ++i)
     y[i] += alpha * ref_dot(a + i * lda, x, cols);
-}
-
-void ref_gemv_t(double alpha, const double* a, std::size_t lda,
-                std::size_t rows, std::size_t cols, const double* x,
-                double* y) {
-  for (std::size_t i = 0; i < rows; ++i)
-    ref_axpy(alpha * x[i], a + i * lda, y, cols);
-}
-
-void ref_gemm(double alpha, const double* a, std::size_t lda, const double* b,
-              std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
-              std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t p = 0; p < k; ++p)
-      ref_axpy(alpha * a[i * lda + p], b + p * ldb, c + i * ldc, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -170,20 +151,6 @@ TEST_P(SimdTargetTest, AxpyMatchesBitwise) {
   }
 }
 
-TEST_P(SimdTargetTest, ScaleMatchesBitwise) {
-  const KernelTable& tbl = table();
-  SplitMix64 rng(13);
-  for (const std::size_t n : test_sizes()) {
-    auto x_ref = random_data(rng, n);
-    auto x_tbl = x_ref;
-    const double a = rng.uniform(-2.0, 2.0);
-    ref_scale(a, x_ref.data(), n);
-    tbl.scale(a, x_tbl.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_BITEQ(x_tbl[i], x_ref[i]) << "n=" << n << " i=" << i;
-  }
-}
-
 TEST_P(SimdTargetTest, GemvMatchesBitwise) {
   const KernelTable& tbl = table();
   SplitMix64 rng(14);
@@ -199,46 +166,6 @@ TEST_P(SimdTargetTest, GemvMatchesBitwise) {
       for (std::size_t i = 0; i < rows; ++i)
         EXPECT_BITEQ(y_tbl[i], y_ref[i])
             << rows << "x" << cols << " i=" << i;
-    }
-  }
-}
-
-TEST_P(SimdTargetTest, GemvTransposeMatchesBitwise) {
-  const KernelTable& tbl = table();
-  SplitMix64 rng(15);
-  for (const std::size_t rows : {1u, 3u, 7u, 12u, 31u}) {
-    for (const std::size_t cols : {1u, 5u, 8u, 13u, 64u, 67u}) {
-      const auto a = random_data(rng, rows * cols);
-      const auto x = random_data(rng, rows);
-      auto y_ref = random_data(rng, cols);
-      auto y_tbl = y_ref;
-      const double alpha = rng.uniform(-2.0, 2.0);
-      ref_gemv_t(alpha, a.data(), cols, rows, cols, x.data(), y_ref.data());
-      tbl.gemv_t(alpha, a.data(), cols, rows, cols, x.data(), y_tbl.data());
-      for (std::size_t j = 0; j < cols; ++j)
-        EXPECT_BITEQ(y_tbl[j], y_ref[j])
-            << rows << "x" << cols << " j=" << j;
-    }
-  }
-}
-
-TEST_P(SimdTargetTest, GemmMatchesBitwise) {
-  const KernelTable& tbl = table();
-  SplitMix64 rng(16);
-  for (const std::size_t m : {1u, 4u, 9u}) {
-    for (const std::size_t k : {1u, 6u, 17u}) {
-      for (const std::size_t n : {1u, 7u, 8u, 33u}) {
-        const auto a = random_data(rng, m * k);
-        const auto b = random_data(rng, k * n);
-        auto c_ref = random_data(rng, m * n);
-        auto c_tbl = c_ref;
-        const double alpha = rng.uniform(-2.0, 2.0);
-        ref_gemm(alpha, a.data(), k, b.data(), n, c_ref.data(), n, m, k, n);
-        tbl.gemm(alpha, a.data(), k, b.data(), n, c_tbl.data(), n, m, k, n);
-        for (std::size_t i = 0; i < m * n; ++i)
-          EXPECT_BITEQ(c_tbl[i], c_ref[i])
-              << m << "x" << k << "x" << n << " i=" << i;
-      }
     }
   }
 }

@@ -1,6 +1,5 @@
-// In-place numerics kernels, refactorizable factorizations, and the
-// Schur-complement KKT solver, each checked against a straightforward
-// reference implementation (tolerance 1e-10).
+// In-place numerics kernels and refactorizable factorizations, each checked
+// against a straightforward reference implementation (tolerance 1e-10).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -8,7 +7,6 @@
 #include "numerics/factorization.hpp"
 #include "numerics/kernels.hpp"
 #include "numerics/matrix.hpp"
-#include "numerics/schur_kkt.hpp"
 #include "numerics/vector.hpp"
 #include "util/random.hpp"
 
@@ -68,37 +66,6 @@ TEST(Kernels, GemvBetaZeroResizesOutput) {
   }
 }
 
-TEST(Kernels, GemvTransposedMatchesReference) {
-  SplitMix64 rng(3);
-  const num::Matrix a = random_matrix(6, 4, rng);
-  const num::Vector x = random_vector(6, rng);
-  num::Vector y = random_vector(4, rng);
-  const num::Vector y0 = y;
-
-  num::gemv_t(-0.3, a, x, 2.0, y);
-  for (std::size_t c = 0; c < 4; ++c) {
-    double expect = 2.0 * y0[c];
-    for (std::size_t r = 0; r < 6; ++r) expect += -0.3 * a(r, c) * x[r];
-    EXPECT_NEAR(y[c], expect, kTol);
-  }
-}
-
-TEST(Kernels, GemmMatchesReference) {
-  SplitMix64 rng(4);
-  const num::Matrix a = random_matrix(5, 3, rng);
-  const num::Matrix b = random_matrix(3, 6, rng);
-  num::Matrix c = random_matrix(5, 6, rng);
-  const num::Matrix c0 = c;
-
-  num::gemm(1.1, a, b, -0.4, c);
-  for (std::size_t r = 0; r < 5; ++r)
-    for (std::size_t j = 0; j < 6; ++j) {
-      double expect = -0.4 * c0(r, j);
-      for (std::size_t k = 0; k < 3; ++k) expect += 1.1 * a(r, k) * b(k, j);
-      EXPECT_NEAR(c(r, j), expect, kTol);
-    }
-}
-
 TEST(Kernels, AxpyMatchesReference) {
   SplitMix64 rng(5);
   const num::Vector x = random_vector(9, rng);
@@ -147,110 +114,6 @@ TEST(Factorization, CholeskySolveAllowsAliasing) {
   ASSERT_TRUE(chol.factorize(spd));
   chol.solve_into(b, b);  // in-place
   for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(b[i], expect[i], kTol);
-}
-
-// The block-elimination KKT solve must agree with a dense LU of the full
-// saddle-point system [K Eᵀ; E 0].
-TEST(SchurKkt, MatchesDenseKktSolve) {
-  SplitMix64 rng(9);
-  const std::size_t n = 24;
-  const std::size_t me = 10;
-  const num::Matrix k = random_spd(n, rng);
-  const num::Matrix e = random_matrix(me, n, rng);
-  const num::Vector r1 = random_vector(n, rng);
-  const num::Vector r2 = random_vector(me, rng);
-
-  num::Matrix kkt(n + me, n + me);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) kkt(r, c) = k(r, c);
-    for (std::size_t j = 0; j < me; ++j) {
-      kkt(r, n + j) = e(j, r);
-      kkt(n + j, r) = e(j, r);
-    }
-  }
-  num::Vector rhs(n + me);
-  for (std::size_t i = 0; i < n; ++i) rhs[i] = r1[i];
-  for (std::size_t j = 0; j < me; ++j) rhs[n + j] = r2[j];
-  const num::Vector dense = num::solve_linear(kkt, rhs);
-
-  num::SchurKktSolver schur;
-  ASSERT_TRUE(schur.factorize(k, e));
-  num::Vector dx;
-  num::Vector dy;
-  schur.solve(r1, r2, dx, dy);
-  ASSERT_EQ(dx.size(), n);
-  ASSERT_EQ(dy.size(), me);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(dx[i], dense[i], kTol);
-  for (std::size_t j = 0; j < me; ++j)
-    EXPECT_NEAR(dy[j], dense[n + j], kTol);
-}
-
-TEST(SchurKkt, NoEqualitiesReducesToCholesky) {
-  SplitMix64 rng(10);
-  const std::size_t n = 12;
-  const num::Matrix k = random_spd(n, rng);
-  const num::Vector r1 = random_vector(n, rng);
-  const num::Vector expect = num::solve_linear(k, r1);
-
-  num::SchurKktSolver schur;
-  ASSERT_TRUE(schur.factorize(k, num::Matrix(0, n)));
-  num::Vector dx;
-  num::Vector dy;
-  schur.solve(r1, num::Vector(0), dx, dy);
-  ASSERT_EQ(dy.size(), 0u);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(dx[i], expect[i], kTol);
-}
-
-// A rank-deficient equality block makes the Schur complement singular; the
-// solver repairs it with a diagonal shift but must report that the solve is
-// of a perturbed system, and a following clean factorization must clear the
-// flag again.
-TEST(SchurKkt, ReportsRegularizedFactorization) {
-  SplitMix64 rng(12);
-  const std::size_t n = 16;
-  const std::size_t me = 4;
-  const num::Matrix k = random_spd(n, rng);
-  num::Matrix e = random_matrix(me, n, rng);
-
-  num::SchurKktSolver schur;
-  ASSERT_TRUE(schur.factorize(k, e));
-  EXPECT_FALSE(schur.regularized());
-
-  for (std::size_t c = 0; c < n; ++c) e(me - 1, c) = e(0, c);  // duplicate row
-  ASSERT_TRUE(schur.factorize(k, e));
-  EXPECT_TRUE(schur.regularized());
-
-  for (std::size_t c = 0; c < n; ++c) e(me - 1, c) = rng.uniform(-1, 1);
-  ASSERT_TRUE(schur.factorize(k, e));
-  EXPECT_FALSE(schur.regularized());
-}
-
-// Refactorizing a SchurKktSolver with new values (same structure) must not
-// carry any state from the previous factorization.
-TEST(SchurKkt, RefactorizeIsStateless) {
-  SplitMix64 rng(11);
-  const std::size_t n = 16;
-  const std::size_t me = 5;
-  num::SchurKktSolver schur;
-  num::Vector dx;
-  num::Vector dy;
-  for (int round = 0; round < 3; ++round) {
-    const num::Matrix k = random_spd(n, rng);
-    const num::Matrix e = random_matrix(me, n, rng);
-    const num::Vector r1 = random_vector(n, rng);
-    const num::Vector r2 = random_vector(me, rng);
-    ASSERT_TRUE(schur.factorize(k, e));
-    schur.solve(r1, r2, dx, dy);
-
-    // KKT residual: K·dx + Eᵀ·dy = r1, E·dx = r2.
-    num::Vector res1 = r1;
-    num::gemv(-1.0, k, dx, 1.0, res1);
-    num::gemv_t(-1.0, e, dy, 1.0, res1);
-    EXPECT_LT(res1.norm_inf(), kTol);
-    num::Vector res2 = r2;
-    num::gemv(-1.0, e, dx, 1.0, res2);
-    EXPECT_LT(res2.norm_inf(), kTol);
-  }
 }
 
 }  // namespace

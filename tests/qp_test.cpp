@@ -1,4 +1,6 @@
-// Unit + property tests for the interior-point QP solver.
+// Unit + property tests for the QP solver's active-set core on general
+// QPs, equalities entering as opposing inequality pairs (solve_dense in
+// qp_kkt_certificate.hpp).
 //
 // The property sweep checks the KKT conditions directly on randomized
 // strictly convex problems: stationarity, primal feasibility, dual
@@ -6,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "optim/qp.hpp"
 #include "qp_kkt_certificate.hpp"
@@ -31,7 +34,7 @@ TEST(Qp, UnconstrainedQuadraticMinimum) {
   p.h(1, 1) = 2;
   p.g = Vector{-2, 4};
   p = empty_constraints(std::move(p), 2);
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_dense(p);
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 1.0, 1e-8);
   EXPECT_NEAR(r.x[1], -2.0, 1e-8);
@@ -48,7 +51,7 @@ TEST(Qp, EqualityConstrainedAnalytic) {
   p.e_vec = Vector{2};
   p.a_mat = Matrix(0, 2);
   p.b_vec = Vector(0);
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_dense(p);
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 1.0, 1e-9);
   EXPECT_NEAR(r.x[1], 1.0, 1e-9);
@@ -66,10 +69,10 @@ TEST(Qp, ActiveInequalityBindsAtBound) {
   p.a_mat = Matrix(1, 1);
   p.a_mat(0, 0) = 1;
   p.b_vec = Vector{1};
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_dense(p);
   ASSERT_EQ(r.status, QpStatus::kSolved);
-  EXPECT_NEAR(r.x[0], 1.0, 1e-6);
-  EXPECT_GT(r.z_ineq[0], 1.0);  // multiplier = 4 analytically
+  EXPECT_NEAR(r.x[0], 1.0, 1e-9);
+  EXPECT_NEAR(r.z_ineq[0], 4.0, 1e-9);  // multiplier = 4 analytically
 }
 
 TEST(Qp, InactiveInequalityIsIgnored) {
@@ -83,10 +86,10 @@ TEST(Qp, InactiveInequalityIsIgnored) {
   p.a_mat = Matrix(1, 1);
   p.a_mat(0, 0) = 1;
   p.b_vec = Vector{10};
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_dense(p);
   ASSERT_EQ(r.status, QpStatus::kSolved);
-  EXPECT_NEAR(r.x[0], 3.0, 1e-6);
-  EXPECT_LT(r.z_ineq[0], 1e-5);
+  EXPECT_NEAR(r.x[0], 3.0, 1e-9);
+  EXPECT_EQ(r.z_ineq[0], 0.0);
 }
 
 TEST(Qp, BoxConstrainedProjection) {
@@ -103,7 +106,7 @@ TEST(Qp, BoxConstrainedProjection) {
   p.a_mat(2, 1) = 1;
   p.a_mat(3, 1) = -1;
   p.b_vec = Vector{1, 1, 1, 1};
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_dense(p);
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 1.0, 1e-6);
   EXPECT_NEAR(r.x[1], -1.0, 1e-6);
@@ -122,7 +125,7 @@ TEST(Qp, MixedEqualityInequality) {
   p.a_mat = Matrix(1, 3);
   p.a_mat(0, 0) = 1;
   p.b_vec = Vector{0.5};
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_dense(p);
   ASSERT_EQ(r.status, QpStatus::kSolved);
   EXPECT_NEAR(r.x[0], 0.5, 1e-6);
   EXPECT_NEAR(r.x[1], 1.25, 1e-6);
@@ -133,12 +136,13 @@ TEST(Qp, ValidatesDimensions) {
   QpProblem p;
   p.h = Matrix(2, 3);
   p.g = Vector(2);
-  EXPECT_THROW(solve_qp(p), std::invalid_argument);
+  EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
-TEST(Qp, RedundantEqualityRowsAreRegularizedAway) {
-  // Duplicate equality row makes the KKT matrix singular; the solver must
-  // regularize and still return the right answer.
+TEST(Qp, RedundantEqualityRowsAreSkipped) {
+  // A duplicate equality row makes the equality system rank deficient; the
+  // active set must not add the dependent copy and still return the right
+  // answer.
   QpProblem p;
   p.h = Matrix::identity(2);
   p.g = Vector(2);
@@ -150,10 +154,10 @@ TEST(Qp, RedundantEqualityRowsAreRegularizedAway) {
   p.e_vec = Vector{2, 2};
   p.a_mat = Matrix(0, 2);
   p.b_vec = Vector(0);
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_dense(p);
   ASSERT_TRUE(r.usable());
-  EXPECT_NEAR(r.x[0], 1.0, 1e-5);
-  EXPECT_NEAR(r.x[1], 1.0, 1e-5);
+  EXPECT_NEAR(r.x[0], 1.0, 1e-9);
+  EXPECT_NEAR(r.x[1], 1.0, 1e-9);
 }
 
 // --- Randomized KKT property sweep ---
@@ -193,7 +197,7 @@ TEST_P(QpKktProperty, KktConditionsHold) {
     p.b_vec[r] = p.a_mat.row(r).dot(xf) + rng.uniform(0.0, 2.0);
   }
 
-  const QpResult r = solve_qp(p);
+  const QpResult r = solve_dense(p);
   ASSERT_EQ(r.status, QpStatus::kSolved) << "seed " << GetParam();
   expect_kkt_certificate(p, r);
 }

@@ -116,7 +116,7 @@ TEST(Deadline, InactiveNeverExpires) {
 }
 
 TEST(Deadline, BudgetContractZeroDisables) {
-  // The QpOptions/SqpOptions time_budget_s contract: <= 0 means "no
+  // The SqpOptions time_budget_s contract: <= 0 means "no
   // watchdog", not "instant timeout".
   EXPECT_FALSE(rt::Deadline::from_budget_s(0.0).active());
   EXPECT_FALSE(rt::Deadline::from_budget_s(-1.0).active());

@@ -1,5 +1,6 @@
-// Solver hot-path properties: allocation-free steady state of the QP
-// workspace, and warm-started solves agreeing with cold-started ones.
+// Solver hot-path properties: a steady state that does not grow the SQP
+// solver's QP workspace, and warm-started solves agreeing with
+// cold-started ones.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -8,39 +9,11 @@
 #include "core/mpc_controller.hpp"
 #include "core/mpc_formulation.hpp"
 #include "hvac/hvac_params.hpp"
-#include "optim/qp.hpp"
 #include "optim/sqp.hpp"
-#include "util/random.hpp"
 
 namespace {
 
 using namespace evc;
-
-opt::QpProblem random_qp(std::size_t n, std::size_t mi, std::size_t me,
-                         std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  opt::QpProblem p;
-  num::Matrix g(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1, 1);
-  p.h = g.transposed() * g;
-  for (std::size_t i = 0; i < n; ++i) p.h(i, i) += 1.0;
-  p.g = num::Vector(n);
-  for (std::size_t i = 0; i < n; ++i) p.g[i] = rng.uniform(-2, 2);
-  p.e_mat = num::Matrix(me, n);
-  p.e_vec = num::Vector(me);
-  for (std::size_t r = 0; r < me; ++r) {
-    for (std::size_t c = 0; c < n; ++c) p.e_mat(r, c) = rng.uniform(-1, 1);
-    p.e_vec[r] = rng.uniform(-0.5, 0.5);
-  }
-  p.a_mat = num::Matrix(mi, n);
-  p.b_vec = num::Vector(mi);
-  for (std::size_t r = 0; r < mi; ++r) {
-    for (std::size_t c = 0; c < n; ++c) p.a_mat(r, c) = rng.uniform(-1, 1);
-    p.b_vec[r] = rng.uniform(0.5, 2.0);
-  }
-  return p;
-}
 
 core::MpcFormulation make_window_formulation(std::size_t horizon) {
   core::MpcWindowData w;
@@ -54,54 +27,37 @@ core::MpcFormulation make_window_formulation(std::size_t horizon) {
                               w);
 }
 
-// Steady-state solving through a persistent workspace must not allocate:
-// the growth counter moves on the first solve only.
+// Steady-state solving through a persistent solver must not grow its QP
+// workspace: the same window solved again holds the first solve's bytes.
 TEST(QpWorkspace, SteadyStateIsAllocationFree) {
-  const auto problem = random_qp(30, 60, 6, 11);
-  opt::QpWorkspace ws;
+  const auto f = make_window_formulation(12);
+  const opt::SqpSolver solver(core::MpcOptions{}.sqp);
+  const num::Vector z0 = f.cold_start();
 
-  ASSERT_TRUE(opt::solve_qp(problem, {}, ws).usable());
-  const std::size_t growths_after_first = ws.counters().workspace_growths;
-  const std::size_t bytes_after_first = ws.bytes();
-  EXPECT_GE(growths_after_first, 1u);
-  EXPECT_EQ(ws.counters().peak_workspace_bytes, bytes_after_first);
+  ASSERT_TRUE(solver.solve(f, z0).usable());
+  const std::size_t bytes_after_first = solver.workspace_bytes();
+  EXPECT_GT(bytes_after_first, 0u);
+  EXPECT_EQ(solver.qp_counters().peak_workspace_bytes, bytes_after_first);
 
   for (int round = 0; round < 5; ++round)
-    ASSERT_TRUE(opt::solve_qp(problem, {}, ws).usable());
-  EXPECT_EQ(ws.counters().workspace_growths, growths_after_first);
-  EXPECT_EQ(ws.bytes(), bytes_after_first);
-  EXPECT_EQ(ws.counters().solves, 6u);
+    ASSERT_TRUE(solver.solve(f, z0).usable());
+  EXPECT_EQ(solver.workspace_bytes(), bytes_after_first);
+  EXPECT_EQ(solver.qp_counters().peak_workspace_bytes, bytes_after_first);
 }
 
+// A smaller window reuses the storage a larger one grew; only a larger one
+// grows it again.
 TEST(QpWorkspace, SmallerProblemReusesStorage) {
-  opt::QpWorkspace ws;
-  ASSERT_TRUE(opt::solve_qp(random_qp(30, 60, 6, 12), {}, ws).usable());
-  const std::size_t growths = ws.counters().workspace_growths;
-  ASSERT_TRUE(opt::solve_qp(random_qp(12, 24, 3, 13), {}, ws).usable());
-  EXPECT_EQ(ws.counters().workspace_growths, growths);
-  ASSERT_TRUE(opt::solve_qp(random_qp(48, 96, 8, 14), {}, ws).usable());
-  EXPECT_GT(ws.counters().workspace_growths, growths);
-}
-
-// Warm starting is a performance device, not a different algorithm: the
-// solution must match the cold solve to solver tolerance.
-TEST(QpWarmStart, MatchesColdSolution) {
-  const auto problem = random_qp(30, 60, 6, 21);
-  opt::QpWorkspace cold_ws;
-  const auto cold = opt::solve_qp(problem, {}, cold_ws);
-  ASSERT_EQ(cold.status, opt::QpStatus::kSolved);
-
-  opt::QpWorkspace warm_ws;
-  opt::QpWarmStart seed;
-  seed.x = cold.x;
-  seed.y_eq = cold.y_eq;
-  seed.z_ineq = cold.z_ineq;
-  const auto warm = opt::solve_qp(problem, {}, warm_ws, &seed);
-  ASSERT_EQ(warm.status, opt::QpStatus::kSolved);
-  EXPECT_EQ(warm_ws.counters().warm_starts, 1u);
-  EXPECT_LE(warm.iterations, cold.iterations);
-  for (std::size_t i = 0; i < problem.num_vars(); ++i)
-    EXPECT_NEAR(warm.x[i], cold.x[i], 1e-6);
+  const opt::SqpSolver solver(core::MpcOptions{}.sqp);
+  const auto window = make_window_formulation(12);
+  ASSERT_TRUE(solver.solve(window, window.cold_start()).usable());
+  const std::size_t bytes = solver.workspace_bytes();
+  const auto smaller = make_window_formulation(6);
+  ASSERT_TRUE(solver.solve(smaller, smaller.cold_start()).usable());
+  EXPECT_EQ(solver.workspace_bytes(), bytes);
+  const auto larger = make_window_formulation(16);
+  ASSERT_TRUE(solver.solve(larger, larger.cold_start()).usable());
+  EXPECT_GT(solver.workspace_bytes(), bytes);
 }
 
 TEST(SqpWarmStart, MatchesColdSolutionOnMpcWindow) {
@@ -117,12 +73,14 @@ TEST(SqpWarmStart, MatchesColdSolutionOnMpcWindow) {
   opt::SqpWarmStart seed;
   seed.y_eq = cold.y_eq;
   seed.z_ineq = cold.z_ineq;
+  seed.active_ineq = cold.active_ineq;
   const opt::SqpSolver warm_solver(opts.sqp);
   const auto warm = warm_solver.solve(f, z0, &seed);
   ASSERT_TRUE(warm.usable());
 
-  // Same NLP, same primal start; the dual seed only accelerates the first
-  // QP subproblem, so the iterates agree to the SQP step tolerance (1e-3).
+  // Same NLP, same primal start; the working-set seed only accelerates the
+  // first QP subproblem, so the iterates agree to the SQP step tolerance
+  // (1e-3).
   for (std::size_t i = 0; i < z0.size(); ++i)
     EXPECT_NEAR(warm.x[i], cold.x[i], 2.0 * opts.sqp.step_tolerance);
 }

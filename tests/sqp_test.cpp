@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "optim/condensed_qp.hpp"
 #include "optim/sqp.hpp"
 #include "util/random.hpp"
 
@@ -14,11 +15,24 @@ namespace {
 using num::Matrix;
 using num::Vector;
 
+/// Condensing plan for a problem of `n` variables with one equality row,
+/// solved for variable 0.
+CondensingPlan first_column_plan(std::size_t n) {
+  CondensingPlan plan;
+  plan.num_vars = n;
+  plan.dep_rows = {0};
+  plan.dep_cols = {0};
+  plan.finalize();
+  return plan;
+}
+
 /// min ‖x − target‖² s.t. x0·x1 = p (bilinear equality), optional box.
 class BilinearProblem : public NlpProblem {
  public:
   BilinearProblem(Vector target, double product, double box = 0.0)
-      : target_(std::move(target)), product_(product) {
+      : target_(std::move(target)),
+        product_(product),
+        plan_(first_column_plan(target_.size())) {
     const std::size_t n = target_.size();
     if (box > 0.0) {
       a_ = Matrix(2 * n, n);
@@ -67,10 +81,13 @@ class BilinearProblem : public NlpProblem {
   }
   const Matrix& ineq_matrix() const override { return a_; }
   const Vector& ineq_vector() const override { return b_; }
+  /// The product row is solved for x0 (pivot x1).
+  const CondensingPlan* condensing_plan() const override { return &plan_; }
 
  private:
   Vector target_;
   double product_;
+  CondensingPlan plan_;
   Matrix a_;
   Vector b_;
 };
@@ -117,7 +134,7 @@ TEST(Sqp, RejectsWrongStartDimension) {
 /// Pure quadratic with linear equality — SQP must converge in one step.
 class LinearEqualityProblem : public NlpProblem {
  public:
-  LinearEqualityProblem() : a_(0, 2), b_(0) {}
+  LinearEqualityProblem() : a_(0, 2), b_(0), plan_(first_column_plan(2)) {}
   std::size_t num_vars() const override { return 2; }
   std::size_t num_eq() const override { return 1; }
   double cost(const Vector& x) const override { return x.dot(x); }
@@ -138,10 +155,12 @@ class LinearEqualityProblem : public NlpProblem {
   }
   const Matrix& ineq_matrix() const override { return a_; }
   const Vector& ineq_vector() const override { return b_; }
+  const CondensingPlan* condensing_plan() const override { return &plan_; }
 
  private:
   Matrix a_;
   Vector b_;
+  CondensingPlan plan_;
 };
 
 TEST(Sqp, LinearProblemConvergesFast) {
@@ -152,6 +171,40 @@ TEST(Sqp, LinearProblemConvergesFast) {
   EXPECT_NEAR(r.x[0], 1.0, 1e-7);
   EXPECT_NEAR(r.x[1], 1.0, 1e-7);
   EXPECT_LE(r.iterations, 4u);
+}
+
+/// The linear-equality problem with two contradictory bounds, x1 ≤ −1 and
+/// −x1 ≤ −1: every QP subproblem is infeasible.
+class InfeasibleBoundsProblem : public LinearEqualityProblem {
+ public:
+  InfeasibleBoundsProblem() : a_(2, 2), b_{-1.0, -1.0} {
+    a_(0, 1) = 1.0;
+    a_(1, 1) = -1.0;
+  }
+  const Matrix& ineq_matrix() const override { return a_; }
+  const Vector& ineq_vector() const override { return b_; }
+
+ private:
+  Matrix a_;
+  Vector b_;
+};
+
+TEST(Sqp, InfeasibleSubproblemReportsQpFailure) {
+  // No step solves the first subproblem, so none is taken: the solve ends
+  // with kQpFailure at the start point and hands no duals on.
+  InfeasibleBoundsProblem p;
+  SqpSolver solver;
+  const SqpResult r = solver.solve(p, Vector{5.0, -3.0});
+  EXPECT_EQ(r.status, SqpStatus::kQpFailure);
+  EXPECT_FALSE(r.usable());
+  EXPECT_EQ(solve_status(r.status), SolveStatus::kNumericalFailure);
+  EXPECT_EQ(r.iterations, 1u);
+  EXPECT_EQ(r.x[0], 5.0);
+  EXPECT_EQ(r.x[1], -3.0);
+  EXPECT_TRUE(r.z_ineq.empty());
+  EXPECT_TRUE(r.active_ineq.empty());
+  EXPECT_EQ(solver.qp_counters().solves, 0u);
+  EXPECT_EQ(solver.qp_counters().condense_rebuilds, 1u);
 }
 
 class SqpRandomized : public ::testing::TestWithParam<int> {};

@@ -28,13 +28,11 @@ import argparse
 import json
 import sys
 
-# Benches gated by default: the end-to-end hot-path measurements (both QP
-# backends) plus the condensed path's warm resolve kernel. The micro benches
-# still participate in the host-factor median.
+# Benches gated by default: the end-to-end hot-path measurements plus the
+# condensed path's warm resolve kernel — every row bench_solver_perf writes.
 DEFAULT_WATCHED = [
     "mpc_plan_step_warm",
     "sqp_mpc_window_h12",
-    "mpc_plan_step_condensed_warm",
     "dense_active_set_resolve",
 ]
 
