@@ -29,7 +29,7 @@ core::MpcFormulation make_window_formulation(std::size_t horizon) {
 
 // Steady-state solving through a persistent solver must not grow its QP
 // workspace: the same window solved again holds the first solve's bytes.
-TEST(QpWorkspace, SteadyStateIsAllocationFree) {
+TEST(SqpWorkspace, SteadyStateDoesNotGrow) {
   const auto f = make_window_formulation(12);
   const opt::SqpSolver solver(core::MpcOptions{}.sqp);
   const num::Vector z0 = f.cold_start();
@@ -47,7 +47,7 @@ TEST(QpWorkspace, SteadyStateIsAllocationFree) {
 
 // A smaller window reuses the storage a larger one grew; only a larger one
 // grows it again.
-TEST(QpWorkspace, SmallerProblemReusesStorage) {
+TEST(SqpWorkspace, SmallerProblemReusesStorage) {
   const opt::SqpSolver solver(core::MpcOptions{}.sqp);
   const auto window = make_window_formulation(12);
   ASSERT_TRUE(solver.solve(window, window.cold_start()).usable());
