@@ -23,8 +23,7 @@
 // The solver keeps no cross-solve state: every call condenses the live
 // QpProblem it is given, so its result is a pure function of that problem
 // and the caller's working-set seed, and a checkpoint needs nothing from
-// it. The
-// condensing itself only pays for nonzeros, read from the caller's
+// it. The condensing itself only pays for nonzeros, read from the caller's
 // QpNonzeros views of H, E and A (gathered as often as each matrix changes)
 // and from Z's, gathered once Z is built. E has about three nonzeros per
 // row and Z about one in nine: Z, its triangularity check and the
