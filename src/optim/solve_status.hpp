@@ -1,15 +1,15 @@
-// Structured solver outcome shared by the QP and SQP layers.
+// Structured outcome of an SQP solve for control-layer callers.
 //
 // Callers used to receive the solver's last iterate with no signal about
 // *why* the iteration stopped; a supervisor cannot build a fallback chain on
-// that. SolveStatus is the common, coarse classification every solver in
-// optim/ maps its native status onto, so control-layer code (MPC controller,
-// fault-tolerant supervisor) can branch on one enum:
+// that. SolveStatus is the coarse classification the SQP maps its native
+// status onto, so control-layer code (MPC controller, fault-tolerant
+// supervisor) can branch on one enum:
 //   kConverged        — tolerances met, result fully trustworthy,
 //   kMaxIterations    — budgeted iterations exhausted; best iterate returned,
 //   kTimeout          — wall-clock budget exhausted; best iterate returned,
-//   kNumericalFailure — no usable iterate (factorization failure/divergence);
-//                       the returned point must NOT be applied to a plant.
+//   kNumericalFailure — a QP subproblem had no usable solution; the
+//                       returned point must NOT be applied to a plant.
 #pragma once
 
 #include <string>
