@@ -50,11 +50,6 @@ double SohModel::delta_soh(const CycleStress& drive_stress) const {
          (params_.soh_a3 * std::exp(params_.soh_beta * avg));
 }
 
-double SohModel::delta_soh_of_trace(
-    const std::vector<double>& soc_trace) const {
-  return delta_soh(stress_of_trace(soc_trace));
-}
-
 double SohModel::cycles_to_end_of_life(double delta_soh_per_cycle) const {
   EVC_EXPECT(delta_soh_per_cycle > 0.0, "fade per cycle must be positive");
   return params_.end_of_life_fade_percent / delta_soh_per_cycle;

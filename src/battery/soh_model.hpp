@@ -36,9 +36,6 @@ class SohModel {
   /// average with the charging-phase average.
   double delta_soh(const CycleStress& drive_stress) const;
 
-  /// Convenience: fade directly from a drive SoC trace.
-  double delta_soh_of_trace(const std::vector<double>& soc_trace) const;
-
   /// Number of identical cycles until end of life (80 % capacity),
   /// cycle aging only (the paper's lifetime measure).
   double cycles_to_end_of_life(double delta_soh_per_cycle) const;

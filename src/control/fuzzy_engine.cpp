@@ -43,13 +43,6 @@ const MembershipFunction& LinguisticVariable::set(std::size_t i) const {
   return sets_[i];
 }
 
-std::size_t LinguisticVariable::set_index(const std::string& label) const {
-  for (std::size_t i = 0; i < sets_.size(); ++i)
-    if (sets_[i].label() == label) return i;
-  EVC_EXPECT(false, "unknown linguistic set: " + label);
-  return 0;
-}
-
 FuzzyInference::FuzzyInference(std::vector<LinguisticVariable> inputs,
                                LinguisticVariable output,
                                std::vector<FuzzyRule> rules)

@@ -40,8 +40,6 @@ class LinguisticVariable {
   const std::string& name() const { return name_; }
   std::size_t num_sets() const { return sets_.size(); }
   const MembershipFunction& set(std::size_t i) const;
-  /// Index of the set with this label; throws if absent.
-  std::size_t set_index(const std::string& label) const;
 
  private:
   std::string name_;
@@ -64,8 +62,6 @@ class FuzzyInference {
   /// Crisp inputs (one per input variable) → centroid-defuzzified output.
   /// If no rule fires, returns the center of the output range.
   double infer(const std::vector<double>& crisp_inputs) const;
-
-  std::size_t num_rules() const { return rules_.size(); }
 
  private:
   std::vector<LinguisticVariable> inputs_;

@@ -137,9 +137,6 @@ class MpcFormulation : public opt::NlpProblem {
   /// with the equalities (up to the SoC drift from the fixed load).
   num::Vector cold_start() const;
 
-  /// SoC discharge coefficient κ (percent per kW per second).
-  double soc_per_kw_s() const { return kappa_; }
-
   /// The boundary data this window was built from (warm-start alignment).
   const MpcWindowData& window() const { return window_; }
 

@@ -22,8 +22,6 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   data_.assign(rows * cols, 0.0);
 }
 
-void Matrix::set_zero() { std::fill(data_.begin(), data_.end(), 0.0); }
-
 void Matrix::copy_from(const Matrix& src) {
   rows_ = src.rows_;
   cols_ = src.cols_;

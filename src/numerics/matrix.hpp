@@ -27,8 +27,6 @@ class Matrix {
   /// Set dimensions and zero every element. Reuses the backing store when
   /// capacity suffices — the workspace-reuse primitive.
   void resize(std::size_t rows, std::size_t cols);
-  /// Zero every element, keeping dimensions.
-  void set_zero();
   /// dst := src, reusing this matrix's backing store when adequate.
   void copy_from(const Matrix& src);
 

@@ -90,11 +90,6 @@ class SloMonitor {
   explicit SloMonitor(std::vector<SloRuleOptions> rules,
                       MetricsRegistry* registry = nullptr);
 
-  std::size_t num_rules() const { return rules_.size(); }
-  const SloRuleOptions& rule_options(std::size_t rule) const {
-    return rules_[rule].opts;
-  }
-
   /// Feed one outcome to `rule`. Returns the transitions this sample
   /// caused (usually empty; at most one). Thread-safe.
   std::vector<SloAlert> observe(std::size_t rule, bool bad,

@@ -12,14 +12,9 @@ namespace evc::units {
 
 inline constexpr double kmh_to_mps(double kmh) { return kmh / 3.6; }
 inline constexpr double mps_to_kmh(double mps) { return mps * 3.6; }
-inline constexpr double kw_to_w(double kw) { return kw * 1e3; }
-inline constexpr double w_to_kw(double w) { return w / 1e3; }
 inline constexpr double kwh_to_j(double kwh) { return kwh * 3.6e6; }
-inline constexpr double j_to_kwh(double j) { return j / 3.6e6; }
 inline constexpr double celsius_to_kelvin(double c) { return c + 273.15; }
-inline constexpr double kelvin_to_celsius(double k) { return k - 273.15; }
 inline constexpr double ah_to_coulomb(double ah) { return ah * 3600.0; }
-inline constexpr double coulomb_to_ah(double c) { return c / 3600.0; }
 
 /// Percent grade (paper's α, 100 % == 45°) to road angle in radians.
 inline double grade_percent_to_angle(double grade_percent) {
