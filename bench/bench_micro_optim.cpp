@@ -73,7 +73,7 @@ BENCHMARK(BM_MpcPlanStep)->Unit(benchmark::kMillisecond);
 
 // Steady-state replanning: each decide() is a fresh plan (time advances one
 // control period) but warm-started from the previous plan's shifted primal
-// and carried QP duals.
+// and QP working set.
 void BM_MpcPlanStepWarm(benchmark::State& state) {
   core::MpcClimateController mpc(hvac::default_hvac_params(),
                                  bat::leaf_24kwh_params());

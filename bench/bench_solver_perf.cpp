@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "battery/battery_params.hpp"
 #include "core/metrics_json.hpp"
@@ -81,8 +82,6 @@ void write_counters(JsonWriter& json, const opt::QpPerfCounters& c) {
   json.key("factorizations").value(c.factorizations);
   json.key("warm_starts").value(c.warm_starts);
   json.key("peak_workspace_bytes").value(c.peak_workspace_bytes);
-  json.key("condensed_solves").value(c.condensed_solves);
-  json.key("condense_rebuilds").value(c.condense_rebuilds);
   json.key("active_set_changes").value(c.active_set_changes);
   json.key("solve_time_ns").value(c.solve_time_ns);
   json.key("factorize_time_ns").value(c.factorize_time_ns);
@@ -113,23 +112,19 @@ int main(int argc, char** argv) {
   json.key("benches");
   json.begin_array();
 
-  // SQP on one MPC window, the whole warm start (multipliers and working
-  // set) chained across solves.
+  // SQP on one MPC window, each solve's final working set seeding the next.
   {
     const auto f = make_window_formulation(12);
     core::MpcOptions opts;
     const opt::SqpSolver solver(opts.sqp);
     const num::Vector z0 = f.cold_start();
     const std::size_t reps = 20;
-    opt::SqpWarmStart warm;
+    std::vector<std::size_t> warm;
     const auto start = Clock::now();
     for (std::size_t r = 0; r < reps; ++r) {
-      const auto result =
-          solver.solve(f, z0, warm.empty() ? nullptr : &warm);
+      const auto result = solver.solve(f, z0, r == 0 ? nullptr : &warm);
       if (!result.usable()) return 1;
-      warm.y_eq = result.y_eq;
-      warm.z_ineq = result.z_ineq;
-      warm.active_ineq = result.active_ineq;
+      warm = result.active_ineq;
     }
     write_bench_header(json, "sqp_mpc_window_h12", reps, ns_since(start));
     json.key("solver");
@@ -139,7 +134,8 @@ int main(int argc, char** argv) {
   }
 
   // Warm receding-horizon planning: the controller replans every step_s
-  // with shifted primal + carried duals, exactly the closed-loop hot path.
+  // with the shifted primal and working set, exactly the closed-loop hot
+  // path.
   {
     core::MpcClimateController mpc(hvac::default_hvac_params(),
                                    bat::leaf_24kwh_params());
@@ -151,9 +147,9 @@ int main(int argc, char** argv) {
     c.motor_power_forecast_w.assign(120, 9e3);
     c.outside_temp_forecast_c.assign(120, 35.0);
     // Untimed warm-up: let the receding-horizon replan reach its steady
-    // state (primal/dual warm starts settled, SQP at its fixed point) so
-    // the timed section measures the warm plan step the name claims, not
-    // the cold transient.
+    // state (primal and working-set warm starts settled, SQP at its fixed
+    // point) so the timed section measures the warm plan step the name
+    // claims, not the cold transient.
     const std::size_t warmup = 24;
     for (std::size_t r = 0; r < warmup; ++r) {
       mpc.decide(c);

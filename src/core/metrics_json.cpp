@@ -11,8 +11,6 @@ void visit_qp_counters(const opt::QpPerfCounters& c, obs::FieldSink& sink) {
   sink.field_size("factorizations", c.factorizations);
   sink.field_size("warm_starts", c.warm_starts);
   sink.field_size("peak_workspace_bytes", c.peak_workspace_bytes);
-  sink.field_size("condensed_solves", c.condensed_solves);
-  sink.field_size("condense_rebuilds", c.condense_rebuilds);
   sink.field_size("active_set_changes", c.active_set_changes);
   sink.field_u64("solve_time_ns", c.solve_time_ns);
   sink.field_u64("factorize_time_ns", c.factorize_time_ns);

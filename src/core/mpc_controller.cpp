@@ -25,9 +25,7 @@ MpcClimateController::MpcClimateController(hvac::HvacParams hvac_params,
 
 void MpcClimateController::reset() {
   last_solution_.reset();
-  last_duals_.y_eq.assign(0, 0.0);
-  last_duals_.z_ineq.assign(0, 0.0);
-  last_duals_.active_ineq.clear();
+  last_working_set_.clear();
   held_input_.reset();
   next_plan_time_s_ = 0.0;
   planned_soc_.clear();
@@ -106,32 +104,21 @@ MpcWindowData MpcClimateController::make_window(
 
 namespace {
 
-// The dual seed moved one stage forward with the primal: each stage's
-// inequality rows take the next stage's multipliers and working-set
-// membership, the first stage's drop out, and the last stage keeps its own.
-// The equality multipliers stay as they are.
-opt::SqpWarmStart shift_duals(const opt::SqpWarmStart& prev,
-                              const MpcIndex& idx) {
+// The working set moved one stage forward with the primal: each stage's
+// inequality rows take the next stage's membership, the first stage's drop
+// out, and the last stage keeps its own.
+std::vector<std::size_t> shift_working_set(
+    const std::vector<std::size_t>& prev, const MpcIndex& idx) {
   const std::size_t rows = idx.num_ineq();
   const std::size_t per_stage = rows / idx.horizon();
   const std::size_t last_stage = rows - per_stage;
-  opt::SqpWarmStart out;
-  out.y_eq = prev.y_eq;
-  if (prev.z_ineq.size() == rows) {
-    out.z_ineq = num::Vector(rows);
-    for (std::size_t i = 0; i < last_stage; ++i)
-      out.z_ineq[i] = prev.z_ineq[i + per_stage];
-    for (std::size_t i = last_stage; i < rows; ++i)
-      out.z_ineq[i] = prev.z_ineq[i];
-  } else {
-    out.z_ineq = prev.z_ineq;
-  }
+  std::vector<std::size_t> out;
   // Ascending in, ascending out: the shifted rows all lie below
   // last_stage, the repeated ones at or above it.
-  for (const std::size_t i : prev.active_ineq)
-    if (i >= per_stage && i < rows) out.active_ineq.push_back(i - per_stage);
-  for (const std::size_t i : prev.active_ineq)
-    if (i >= last_stage && i < rows) out.active_ineq.push_back(i);
+  for (const std::size_t i : prev)
+    if (i >= per_stage && i < rows) out.push_back(i - per_stage);
+  for (const std::size_t i : prev)
+    if (i >= last_stage && i < rows) out.push_back(i);
   return out;
 }
 
@@ -141,7 +128,7 @@ MpcWarmStart MpcClimateController::warm_start(
     const MpcFormulation& formulation) const {
   const num::Vector cold = formulation.cold_start();
   if (!last_solution_ || last_solution_->size() != cold.size())
-    return {cold, last_duals_};
+    return {cold, std::nullopt};
 
   const MpcIndex& idx = formulation.index();
   const std::size_t n = idx.horizon();
@@ -164,7 +151,7 @@ MpcWarmStart MpcClimateController::warm_start(
   const double err_hold =
       std::abs(window.initial_cabin_temp_c - prev[idx.x(0)]) / temp_scale +
       std::abs(window.initial_soc_percent - prev[idx.soc(0)]) / soc_scale;
-  if (err_hold < err_shift) return {prev, last_duals_};
+  if (err_hold < err_shift) return {prev, last_working_set_};
 
   // Shift the previous plan one step forward; duplicate the tail.
   num::Vector z = prev;
@@ -184,7 +171,7 @@ MpcWarmStart MpcClimateController::warm_start(
   }
   z[idx.x(n)] = prev[idx.x(n)];
   z[idx.soc(n)] = prev[idx.soc(n)];
-  return {z, shift_duals(last_duals_, idx)};
+  return {z, shift_working_set(last_working_set_, idx)};
 }
 
 hvac::HvacInputs MpcClimateController::fallback_inputs(
@@ -218,8 +205,8 @@ hvac::HvacInputs MpcClimateController::decide(
     obs::MetricsRegistry::Id failures;
     obs::MetricsRegistry::Id timeouts;
     obs::MetricsRegistry::Id solve_ns;
-    obs::MetricsRegistry::Id condensed_solves;
-    obs::MetricsRegistry::Id condense_rebuilds;
+    obs::MetricsRegistry::Id qp_solves;
+    obs::MetricsRegistry::Id qp_factorizations;
     obs::MetricsRegistry::Id active_set_changes;
   } metric_ids{
       obs::MetricsRegistry::global().counter("mpc.plans"),
@@ -235,13 +222,14 @@ hvac::HvacInputs MpcClimateController::decide(
   const MpcWarmStart seed = warm_start(formulation);
 
   ++stats_.plans;
-  // Previous plan's QP multipliers and working set, aligned with the primal
-  // seed, seed the first subproblem. Stale duals (after a failed plan) are
-  // empty and degrade to a cold start.
-  const opt::SqpWarmStart* duals = seed.duals.empty() ? nullptr : &seed.duals;
-  if (duals != nullptr) ++stats_.dual_warm_starts;
+  // The previous plan's working set, aligned with the primal seed, seeds the
+  // first subproblem. A cold start (no plan yet, or after a failed one) has
+  // none.
+  const std::vector<std::size_t>* warm_active =
+      seed.active_ineq ? &*seed.active_ineq : nullptr;
+  if (warm_active != nullptr) ++stats_.dual_warm_starts;
   const auto t0 = std::chrono::steady_clock::now();
-  const opt::SqpResult result = solver_.solve(formulation, seed.x, duals);
+  const opt::SqpResult result = solver_.solve(formulation, seed.x, warm_active);
   const auto t1 = std::chrono::steady_clock::now();
   last_step_solve_ns_ = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
@@ -250,7 +238,7 @@ hvac::HvacInputs MpcClimateController::decide(
   stats_.sqp_iterations += result.iterations;
   stats_.qp_iterations += result.qp_iterations_total;
   // The solver counters are cumulative; diff against the previous
-  // snapshot so the condensed-backend metrics see only this plan's work.
+  // snapshot so the mpc.condensed.* metrics see only this plan's work.
   const opt::QpPerfCounters prev_counters = stats_.solver;
   stats_.solver = solver_.qp_counters();
   stats_.solver_workspace_bytes = solver_.workspace_bytes();
@@ -260,14 +248,13 @@ hvac::HvacInputs MpcClimateController::decide(
   obs::MetricsRegistry::global().add(metric_ids.plans);
   obs::MetricsRegistry::global().observe(metric_ids.solve_ns,
                                          last_step_solve_ns_);
-  if (stats_.solver.condensed_solves > prev_counters.condensed_solves)
+  if (stats_.solver.solves > prev_counters.solves)
     obs::MetricsRegistry::global().add(
-        metric_ids.condensed_solves,
-        stats_.solver.condensed_solves - prev_counters.condensed_solves);
-  if (stats_.solver.condense_rebuilds > prev_counters.condense_rebuilds)
+        metric_ids.qp_solves, stats_.solver.solves - prev_counters.solves);
+  if (stats_.solver.factorizations > prev_counters.factorizations)
     obs::MetricsRegistry::global().add(
-        metric_ids.condense_rebuilds,
-        stats_.solver.condense_rebuilds - prev_counters.condense_rebuilds);
+        metric_ids.qp_factorizations,
+        stats_.solver.factorizations - prev_counters.factorizations);
   if (stats_.solver.active_set_changes > prev_counters.active_set_changes)
     obs::MetricsRegistry::global().add(
         metric_ids.active_set_changes,
@@ -330,9 +317,7 @@ hvac::HvacInputs MpcClimateController::decide(
     input.air_flow_kg_s = std::clamp(
         input.air_flow_kg_s, hvac_.min_air_flow_kg_s, hvac_.max_air_flow_kg_s);
     last_solution_ = result.x;
-    last_duals_.y_eq = result.y_eq;
-    last_duals_.z_ineq = result.z_ineq;
-    last_duals_.active_ineq = result.active_ineq;
+    last_working_set_ = result.active_ineq;
     planned_soc_.assign(idx.horizon() + 1, 0.0);
     for (std::size_t k = 0; k <= idx.horizon(); ++k)
       planned_soc_[k] = result.x[idx.soc(k)];
@@ -341,9 +326,7 @@ hvac::HvacInputs MpcClimateController::decide(
     obs::MetricsRegistry::global().add(metric_ids.failures);
     input = fallback_inputs(context);
     last_solution_.reset();  // stale plans make poor warm starts
-    last_duals_.y_eq.assign(0, 0.0);
-    last_duals_.z_ineq.assign(0, 0.0);
-    last_duals_.active_ineq.clear();
+    last_working_set_.clear();
   }
   last_plan_applied_ = accept;
 
@@ -375,8 +358,6 @@ void save_qp_counters(BinaryWriter& w, const opt::QpPerfCounters& c) {
   w.write_size(c.factorizations);
   w.write_size(c.warm_starts);
   w.write_size(c.peak_workspace_bytes);
-  w.write_size(c.condensed_solves);
-  w.write_size(c.condense_rebuilds);
   w.write_size(c.active_set_changes);
   w.write_u64(c.solve_time_ns);
   w.write_u64(c.factorize_time_ns);
@@ -388,8 +369,6 @@ opt::QpPerfCounters load_qp_counters(BinaryReader& r) {
   c.factorizations = r.read_size();
   c.warm_starts = r.read_size();
   c.peak_workspace_bytes = r.read_size();
-  c.condensed_solves = r.read_size();
-  c.condense_rebuilds = r.read_size();
   c.active_set_changes = r.read_size();
   c.solve_time_ns = r.read_u64();
   c.factorize_time_ns = r.read_u64();
@@ -403,9 +382,7 @@ void MpcClimateController::save_state(BinaryWriter& writer) const {
   writer.write_bool(last_solution_.has_value());
   if (last_solution_)
     writer.write_f64_seq(last_solution_->ptr(), last_solution_->size());
-  writer.write_f64_seq(last_duals_.y_eq.ptr(), last_duals_.y_eq.size());
-  writer.write_f64_seq(last_duals_.z_ineq.ptr(), last_duals_.z_ineq.size());
-  writer.write_size_vec(last_duals_.active_ineq);
+  writer.write_size_vec(last_working_set_);
   writer.write_bool(held_input_.has_value());
   if (held_input_) save_hvac_inputs(writer, *held_input_);
   writer.write_f64(next_plan_time_s_);
@@ -438,9 +415,7 @@ void MpcClimateController::load_state(BinaryReader& reader) {
   } else {
     last_solution_.reset();
   }
-  last_duals_.y_eq = num::Vector(reader.read_f64_vec());
-  last_duals_.z_ineq = num::Vector(reader.read_f64_vec());
-  last_duals_.active_ineq = reader.read_size_vec();
+  last_working_set_ = reader.read_size_vec();
   if (reader.read_bool()) {
     held_input_ = load_hvac_inputs(reader);
   } else {

@@ -63,7 +63,6 @@ SimulationSession::SimulationSession(const EvParams& params,
       1, static_cast<std::size_t>(std::round(options.forecast_horizon_s / dt_)));
 
   cabin_trace_.reserve(n_);
-  hvac_power_trace_.reserve(n_);
 }
 
 void SimulationSession::advance() {
@@ -97,7 +96,7 @@ void SimulationSession::advance() {
   const EvStep step = ev_.step(profile_[t], inputs, dt_);
 
   cabin_trace_.push_back(step.hvac.cabin_temp_c);
-  hvac_power_trace_.push_back(step.hvac.power.total());
+  last_hvac_power_w_ = step.hvac.power.total();
   motor_acc_ += step.motor_power_w;
   hvac_acc_ += step.hvac.power.total();
   total_acc_ += step.total_power_w;
@@ -194,7 +193,7 @@ std::string SimulationSession::checkpoint() const {
   writer.write_f64(hvac_acc_);
   writer.write_f64(total_acc_);
   writer.write_f64_vec(cabin_trace_);
-  writer.write_f64_vec(hvac_power_trace_);
+  writer.write_f64(last_hvac_power_w_);
   recorder_.save_state(writer);
   ev_.save_state(writer);
   writer.section("controller");
@@ -218,7 +217,7 @@ void SimulationSession::restore(const std::string& encoded) {
   hvac_acc_ = reader.read_f64();
   total_acc_ = reader.read_f64();
   cabin_trace_ = reader.read_f64_vec();
-  hvac_power_trace_ = reader.read_f64_vec();
+  last_hvac_power_w_ = reader.read_f64();
   recorder_.load_state(reader);
   ev_.load_state(reader);
   reader.expect_section("controller");

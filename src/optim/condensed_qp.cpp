@@ -198,7 +198,6 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp, const QpNonzeros& nz,
     EVC_TRACE_SPAN("qp.condense");
     if (!condense(qp, nz, plan)) return result;
   }
-  ++counters.condense_rebuilds;
   ++counters.factorizations;
   counters.factorize_time_ns += elapsed_ns(start);
 
@@ -286,7 +285,6 @@ QpResult CondensedQpSolver::solve(const QpProblem& qp, const QpNonzeros& nz,
   std::sort(result.active_ineq.begin(), result.active_ineq.end());
 
   ++counters.solves;
-  ++counters.condensed_solves;
   if (warm) ++counters.warm_starts;
   counters.active_set_changes += as_out.set_changes;
   counters.solve_time_ns += elapsed_ns(start);

@@ -107,13 +107,13 @@ class CondensedQpSolver {
   /// variable and equality counts, at least one free variable); a plan
   /// that does not fails EVC_EXPECT. On a pivot, triangularity or
   /// active-set failure returns a result that is not usable(). Every
-  /// condensing books condense_rebuilds and factorizations (it factors the
-  /// reduced Hessian); a successful solve also books solves/
-  /// condensed_solves, warm_starts when `warm_active` seeded the active
-  /// set, and active_set_changes into `counters`. `warm_active`, when not
-  /// null, lists the inequality rows to seed the working set with (rows out
-  /// of range are skipped). A successful result carries the final working
-  /// set, ascending, in active_ineq — the seed for the next subproblem.
+  /// condensing books factorizations (it factors the reduced Hessian); a
+  /// successful solve also books solves, warm_starts when `warm_active`
+  /// seeded the active set, and active_set_changes into `counters`.
+  /// `warm_active`, when not null, lists the inequality rows to seed the
+  /// working set with (rows out of range are skipped). A successful result
+  /// carries the final working set, ascending, in active_ineq — the seed
+  /// for the next subproblem.
   QpResult solve(const QpProblem& qp, const QpNonzeros& nz,
                  const CondensingPlan& plan, QpPerfCounters& counters,
                  const std::vector<std::size_t>* warm_active);

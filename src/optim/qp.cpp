@@ -30,8 +30,6 @@ QpPerfCounters& QpPerfCounters::operator+=(const QpPerfCounters& rhs) {
   workspace_growths += rhs.workspace_growths;
   peak_workspace_bytes = std::max(peak_workspace_bytes,
                                   rhs.peak_workspace_bytes);
-  condensed_solves += rhs.condensed_solves;
-  condense_rebuilds += rhs.condense_rebuilds;
   active_set_changes += rhs.active_set_changes;
   solve_time_ns += rhs.solve_time_ns;
   factorize_time_ns += rhs.factorize_time_ns;

@@ -59,13 +59,13 @@ struct QpResult {
 };
 
 /// Perf counters accumulated across every subproblem an SqpSolver solves.
-/// The solver keeps no state across solves: every subproblem counts once in
-/// solves, condensed_solves, condense_rebuilds and factorizations (it
-/// factors the reduced Hessian), and a solve seeded with a previous working
+/// The solver keeps no state across solves: every subproblem it condenses
+/// counts once in factorizations (it factors the reduced Hessian), every
+/// one it solves once in solves, and a solve seeded with a previous working
 /// set also counts in warm_starts.
 struct QpPerfCounters {
-  std::size_t solves = 0;
-  std::size_t factorizations = 0;      ///< reduced-Hessian factorizations
+  std::size_t solves = 0;              ///< subproblems solved
+  std::size_t factorizations = 0;      ///< subproblems condensed and factored
   /// Always 0: nothing factors a full KKT matrix. Kept because perfbench
   /// reports it as optim.dense_fallbacks.
   std::size_t dense_fallbacks = 0;
@@ -74,8 +74,6 @@ struct QpPerfCounters {
   /// Kept because perfbench reports it as optim.workspace_growths.
   std::size_t workspace_growths = 0;
   std::size_t peak_workspace_bytes = 0;
-  std::size_t condensed_solves = 0;    ///< solves taken by the condensed path
-  std::size_t condense_rebuilds = 0;   ///< subproblems condensed
   std::size_t active_set_changes = 0;  ///< working-set adds+drops, all solves
   // Wall-time attribution, so the MPC layer can report where its solve
   // budget went.

@@ -44,7 +44,11 @@ namespace evc::sim {
 /// v7: the QP counter block drops the counters of the deleted
 ///     interior-point solver, the fallback count, and the always-zero
 ///     dense_fallbacks and workspace_growths.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 7;
+/// v8: the MPC section keeps the working set alone (no multipliers), the
+///     QP counter block drops its duplicate counts of solves and
+///     factorizations, and the session section stores the last step's HVAC
+///     power instead of the per-step HVAC power trace.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 8;
 
 /// I/O failure while writing or reading a checkpoint file (open, short
 /// write, fsync, rename). Distinct from SerializationError — the content

@@ -212,7 +212,7 @@ TEST(CondensedQpTest, ActiveSetChangesMidHorizonStillAgree) {
     seed = &warm;
   }
   EXPECT_EQ(counters.solves, 6u);
-  EXPECT_EQ(counters.condensed_solves, 6u);
+  EXPECT_EQ(counters.factorizations, 6u);
   EXPECT_EQ(counters.warm_starts, 5u);
 }
 
@@ -281,12 +281,11 @@ TEST(CondensedQpTest, SolveIsPureFunctionOfProblemAndSeed) {
   EXPECT_EQ(warm_again.iterations, warm.iterations);
   EXPECT_TRUE(std::is_sorted(warm.active_ineq.begin(), warm.active_ineq.end()));
 
-  // Every solve condenses, and the counters say so: one condensing and one
+  // Every solve condenses, and the counters say so: one condensing and
   // reduced-Hessian factorization per solve, so a hit ratio computed from
   // them reads 0. Warm starts count the seeded solves (two per chain plus
   // the final warm one).
-  EXPECT_EQ(counters.condensed_solves, solved);
-  EXPECT_EQ(counters.condense_rebuilds, solved);
+  EXPECT_EQ(counters.solves, solved);
   EXPECT_EQ(counters.factorizations, solved);
   EXPECT_EQ(counters.warm_starts, 5u);
 }
@@ -425,7 +424,7 @@ TEST(CondensedQpTest, MismatchedPlanIsRejected) {
     EXPECT_THROW(solver.solve(problem, f.cold_start()), std::invalid_argument)
         << "offer_plan=" << offer_plan;
   }
-  EXPECT_EQ(solver.qp_counters().condense_rebuilds, 0u);
+  EXPECT_EQ(solver.qp_counters().factorizations, 0u);
 }
 
 #if !defined(EVC_OBS_NO_TRACING)
@@ -520,7 +519,7 @@ TEST(CondensedQpTest, ControllerCheckpointRoundTripUnderCondensedBackend) {
     mpc.decide(c);
     c.time_s += mpc.options().step_s;
   }
-  ASSERT_GT(mpc.stats().solver.condensed_solves, 0u);
+  ASSERT_GT(mpc.stats().solver.solves, 0u);
 
   BinaryWriter writer;
   mpc.save_state(writer);
@@ -529,10 +528,9 @@ TEST(CondensedQpTest, ControllerCheckpointRoundTripUnderCondensedBackend) {
                                       bat::leaf_24kwh_params(), opts);
   BinaryReader reader(bytes);
   restored.load_state(reader);
-  EXPECT_EQ(restored.stats().solver.condensed_solves,
-            mpc.stats().solver.condensed_solves);
-  EXPECT_EQ(restored.stats().solver.condense_rebuilds,
-            mpc.stats().solver.condense_rebuilds);
+  EXPECT_EQ(restored.stats().solver.solves, mpc.stats().solver.solves);
+  EXPECT_EQ(restored.stats().solver.factorizations,
+            mpc.stats().solver.factorizations);
 
   // Both controllers now replan identically: same inputs, same counters.
   ctl::ControlContext c2 = c;
@@ -542,13 +540,11 @@ TEST(CondensedQpTest, ControllerCheckpointRoundTripUnderCondensedBackend) {
   EXPECT_DOUBLE_EQ(a.coil_temp_c, b.coil_temp_c);
   EXPECT_DOUBLE_EQ(a.recirculation, b.recirculation);
   EXPECT_DOUBLE_EQ(a.air_flow_kg_s, b.air_flow_kg_s);
-  EXPECT_EQ(restored.stats().solver.condensed_solves,
-            mpc.stats().solver.condensed_solves);
+  EXPECT_EQ(restored.stats().solver.solves, mpc.stats().solver.solves);
   // The restored working set seeds the next plan exactly as the original
-  // does, so it takes the same dual steps; seeding from the multiplier
-  // support alone would take more.
+  // does, so it takes the same dual steps.
   EXPECT_EQ(restored.stats().qp_iterations, mpc.stats().qp_iterations);
-  EXPECT_EQ(restored.last_duals().active_ineq, mpc.last_duals().active_ineq);
+  EXPECT_EQ(restored.last_working_set(), mpc.last_working_set());
 }
 
 }  // namespace

@@ -222,9 +222,18 @@ TEST(MpcController, ProducesPhysicalInputsAndPlans) {
   EXPECT_LT(ctl.planned_soc().back(), ctl.planned_soc().front());
 }
 
-TEST(MpcController, WarmStartShiftsDualSeedWithThePlan) {
+TEST(MpcController, WarmStartShiftsWorkingSetWithThePlan) {
   MpcClimateController ctl(hvac::default_hvac_params(),
                            bat::leaf_24kwh_params());
+  const std::size_t horizon = ctl.options().horizon;
+  MpcWindowData w = make_window(horizon, 10.0, 38.0);
+  const auto formulation = [&] {
+    return MpcFormulation(hvac::default_hvac_params(),
+                          bat::leaf_24kwh_params(), ctl.options().weights, w);
+  };
+  // A fresh controller has no plan: it starts cold, with no working set.
+  EXPECT_FALSE(ctl.warm_start(formulation()).active_ineq.has_value());
+
   auto c = steady_context(27.0, 38.0, 10e3);
   for (int i = 0; i < 3; ++i) {
     ctl.decide(c);
@@ -232,54 +241,45 @@ TEST(MpcController, WarmStartShiftsDualSeedWithThePlan) {
   }
   ASSERT_TRUE(ctl.last_solution().has_value());
   const num::Vector prev = *ctl.last_solution();
-  const opt::SqpWarmStart duals = ctl.last_duals();
-  ASSERT_FALSE(duals.active_ineq.empty());
+  const std::vector<std::size_t> set = ctl.last_working_set();
+  ASSERT_FALSE(set.empty());
 
-  const std::size_t horizon = ctl.options().horizon;
-  MpcWindowData w = make_window(horizon, 10.0, 38.0);
   const MpcIndex idx(horizon);
   const std::size_t rows = idx.num_ineq();
   const std::size_t per_stage = rows / horizon;
-  ASSERT_EQ(duals.z_ineq.size(), rows);
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
 
   // Measured state where the plan predicted it one step on: the primal
-  // seed shifts, and row k·s + r of the dual seed (s rows per stage) takes
-  // row (k+1)·s + r's multiplier and working-set membership; the last
-  // stage keeps its own.
+  // seed shifts, and row k·s + r of the working set (s rows per stage)
+  // takes row (k+1)·s + r's membership; the last stage keeps its own.
   w.initial_cabin_temp_c = prev[idx.x(1)];
   w.initial_soc_percent = prev[idx.soc(1)];
-  const MpcWarmStart shifted = ctl.warm_start(MpcFormulation(
-      hvac::default_hvac_params(), bat::leaf_24kwh_params(),
-      ctl.options().weights, w));
+  const MpcWarmStart shifted = ctl.warm_start(formulation());
   EXPECT_EQ(bits(shifted.x[idx.x(0)]), bits(prev[idx.x(1)]));
   std::vector<unsigned char> was_active(rows, 0);
-  for (const std::size_t i : duals.active_ineq) was_active[i] = 1;
+  for (const std::size_t i : set) was_active[i] = 1;
   std::vector<std::size_t> expected_set;
-  ASSERT_EQ(shifted.duals.z_ineq.size(), rows);
   for (std::size_t i = 0; i < rows; ++i) {
     const std::size_t src = i + per_stage < rows ? i + per_stage : i;
-    EXPECT_EQ(bits(shifted.duals.z_ineq[i]), bits(duals.z_ineq[src]))
-        << "row " << i;
     if (was_active[src] != 0) expected_set.push_back(i);
   }
-  EXPECT_EQ(shifted.duals.active_ineq, expected_set);
-  ASSERT_EQ(shifted.duals.y_eq.size(), duals.y_eq.size());
-  for (std::size_t i = 0; i < duals.y_eq.size(); ++i)
-    EXPECT_EQ(bits(shifted.duals.y_eq[i]), bits(duals.y_eq[i]));
+  ASSERT_TRUE(shifted.active_ineq.has_value());
+  EXPECT_EQ(*shifted.active_ineq, expected_set);
 
   // Measured state equal to the plan's own start: the plan is held, and
-  // so is the whole dual seed.
+  // so is its working set.
   w.initial_cabin_temp_c = prev[idx.x(0)];
   w.initial_soc_percent = prev[idx.soc(0)];
-  const MpcWarmStart held = ctl.warm_start(MpcFormulation(
-      hvac::default_hvac_params(), bat::leaf_24kwh_params(),
-      ctl.options().weights, w));
+  const MpcWarmStart held = ctl.warm_start(formulation());
   for (std::size_t i = 0; i < prev.size(); ++i)
     EXPECT_EQ(bits(held.x[i]), bits(prev[i])) << "var " << i;
-  for (std::size_t i = 0; i < rows; ++i)
-    EXPECT_EQ(bits(held.duals.z_ineq[i]), bits(duals.z_ineq[i]));
-  EXPECT_EQ(held.duals.active_ineq, duals.active_ineq);
+  ASSERT_TRUE(held.active_ineq.has_value());
+  EXPECT_EQ(*held.active_ineq, set);
+
+  // A reset controller forgets the plan and starts cold again.
+  ctl.reset();
+  EXPECT_TRUE(ctl.last_working_set().empty());
+  EXPECT_FALSE(ctl.warm_start(formulation()).active_ineq.has_value());
 }
 
 TEST(MpcController, HoldsInputBetweenPlanningInstants) {

@@ -68,14 +68,10 @@ TEST(SqpWarmStart, MatchesColdSolutionOnMpcWindow) {
   const opt::SqpSolver cold_solver(opts.sqp);
   const auto cold = cold_solver.solve(f, z0);
   ASSERT_TRUE(cold.usable());
-  ASSERT_FALSE(cold.y_eq.empty());
+  ASSERT_FALSE(cold.active_ineq.empty());
 
-  opt::SqpWarmStart seed;
-  seed.y_eq = cold.y_eq;
-  seed.z_ineq = cold.z_ineq;
-  seed.active_ineq = cold.active_ineq;
   const opt::SqpSolver warm_solver(opts.sqp);
-  const auto warm = warm_solver.solve(f, z0, &seed);
+  const auto warm = warm_solver.solve(f, z0, &cold.active_ineq);
   ASSERT_TRUE(warm.usable());
 
   // Same NLP, same primal start; the working-set seed only accelerates the
