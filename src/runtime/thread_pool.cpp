@@ -1,10 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
 #include <cstdlib>
-#include <cstring>
-#include <string>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace evc::rt {
@@ -18,7 +15,7 @@ void ThreadPool::run_task(Task& task) {
   if (tracer.enabled()) {
     // Re-install the submitter's request context before opening the span,
     // so "pool.task" (and everything fn() does) links into the request's
-    // causal chain no matter which worker — or steal — ran it.
+    // causal chain no matter which worker ran it.
     obs::ScopedTraceContext ambient(task.trace);
     EVC_TRACE_SPAN_VAR(task_span, "pool.task");
     const std::uint64_t now = tracer.now_ns();
@@ -34,15 +31,9 @@ void ThreadPool::run_task(Task& task) {
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (const char* env = std::getenv("EVC_POOL_STEAL"))
-    steal_first_ = std::strcmp(env, "force") == 0;
-  steals_metric_ = obs::MetricsRegistry::global().counter("pool.steals");
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i]() { worker_loop(i); });
+    workers_.emplace_back([this]() { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -68,85 +59,25 @@ void ThreadPool::submit(std::function<void()> task) {
     run_task(inline_task);
     return;
   }
-  const std::size_t idx =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[idx]->mutex);
-    queues_[idx]->tasks.push_back(Task{std::move(task), enqueue_ns, trace});
-  }
-  // The count increments under the pool mutex so a worker that just
-  // evaluated the wait predicate cannot miss this task's notify.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    task_count_.fetch_add(1, std::memory_order_relaxed);
+    tasks_.push_back(Task{std::move(task), enqueue_ns, trace});
   }
   cv_.notify_one();
 }
 
-bool ThreadPool::pop_own(std::size_t self, Task& out) {
-  WorkerQueue& q = *queues_[self];
-  std::lock_guard<std::mutex> lock(q.mutex);
-  if (q.tasks.empty()) return false;
-  out = std::move(q.tasks.front());
-  q.tasks.pop_front();
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t self, Task& out) {
-  const std::size_t n = queues_.size();
-  for (std::size_t offset = 1; offset < n; ++offset) {
-    WorkerQueue& victim = *queues_[(self + offset) % n];
-#if !defined(EVC_OBS_NO_TRACING)
-    obs::Tracer& tracer = obs::Tracer::global();
-    const std::uint64_t start = tracer.enabled() ? tracer.now_ns() : 0;
-#endif
-    bool stolen = false;
-    {
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      if (!victim.tasks.empty()) {
-        // Steal from the back: the opposite end from the owner's pops, so
-        // a steal and an owner pop of a 2+ deep deque never want the same
-        // task, and the oldest work (most likely already cold) migrates.
-        out = std::move(victim.tasks.back());
-        victim.tasks.pop_back();
-        stolen = true;
-      }
-    }
-    if (stolen) {
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry::global().add(steals_metric_);
-#if !defined(EVC_OBS_NO_TRACING)
-      if (start != 0)
-        tracer.record_span("pool.steal", start, tracer.now_ns() - start,
-                           "victim",
-                           static_cast<double>((self + offset) % n));
-#endif
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::try_acquire(std::size_t self, Task& out) {
-  if (steal_first_)
-    return try_steal(self, out) || pop_own(self, out);
-  return pop_own(self, out) || try_steal(self, out);
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   for (;;) {
     Task task;
-    if (try_acquire(self, task)) {
-      task_count_.fetch_sub(1, std::memory_order_relaxed);
-      run_task(task);
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      // Empty here means stop was requested and the queue has drained.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] {
-      return stop_ || task_count_.load(std::memory_order_relaxed) > 0;
-    });
-    if (stop_ && task_count_.load(std::memory_order_relaxed) <= 0)
-      return;  // stop requested and every submitted task claimed
+    run_task(task);
   }
 }
 

@@ -1,23 +1,17 @@
-// Work-stealing thread-pool batch runner for embarrassingly parallel
-// scenario sweeps.
+// Thread-pool batch runner for embarrassingly parallel scenario sweeps.
 //
-// The bench/figure harness and the fleet engine run many independent
-// closed-loop simulations (one per drive cycle, ambient temperature,
-// ablation variant, or vehicle). Each scenario owns its controllers and RNG
-// state, so they parallelize with no shared mutable state; parallel_map
-// writes each scenario's result into its own slot, making the output
-// bit-identical to a serial run regardless of worker count or scheduling.
+// The bench/figure harness runs many independent closed-loop simulations
+// (one per drive cycle, ambient temperature or ablation variant), and the
+// session service runs one pump task per shard. Each scenario owns its
+// controllers and RNG state, so they parallelize with no shared mutable
+// state; parallel_map writes each scenario's result into its own slot,
+// making the output bit-identical to a serial run regardless of worker
+// count or scheduling.
 //
-// Scheduling: each worker owns a deque. submit() places tasks round-robin
-// across the worker deques; a worker pops its own deque from the front and,
-// when empty, steals from the back of a sibling's — so a worker stuck
-// behind one long task (a vehicle whose solver hit a hard step) cannot
-// strand the tasks queued behind it. Steals are counted in the
-// `pool.steals` metric and traced as "pool.steal" spans; queued→run latency
-// stays on the "pool.task" span as `queue_ns`.
-//
-// EVC_POOL_STEAL=force inverts the scan order (steal before own deque) so
-// determinism tests can drive every task through the steal path.
+// Scheduling: one shared FIFO queue under one mutex. submit() pushes to the
+// back and wakes one worker; an idle worker takes the oldest queued task, so
+// a worker stuck behind one long task never strands the tasks queued after
+// it. Queued→run latency is on the "pool.task" span as `queue_ns`.
 //
 // Worker count: EVC_THREADS in the environment overrides (total concurrency
 // including the calling thread; 1 = serial), otherwise hardware concurrency.
@@ -30,7 +24,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -40,10 +33,9 @@
 
 namespace evc::rt {
 
-/// Fixed-size pool of worker threads draining per-worker task deques with
-/// work stealing. The pool holds *helper* threads: batch helpers below also
-/// run work on the calling thread, so a pool of size 0 is valid and means
-/// "serial".
+/// Fixed-size pool of worker threads draining one shared FIFO task queue.
+/// The pool holds *helper* threads: batch helpers below also run work on
+/// the calling thread, so a pool of size 0 is valid and means "serial".
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads);
@@ -53,15 +45,13 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task on the next worker deque (round-robin). With zero
+  /// Enqueue a task at the back of the queue and wake one worker. With zero
   /// workers the task runs inline.
   void submit(std::function<void()> task);
 
-  /// Completed steals since construction (also published as the
-  /// `pool.steals` counter metric).
-  std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: the pool does not steal work. Its only reader is
+  /// perfbench, which reports it as steals per request.
+  std::uint64_t steals() const { return 0; }
 
   /// Total desired concurrency: EVC_THREADS if set and positive, otherwise
   /// std::thread::hardware_concurrency() (at least 1).
@@ -77,41 +67,19 @@ class ThreadPool {
     std::function<void()> fn;
     std::uint64_t enqueue_ns = 0;  ///< tracer timestamp; 0 while disabled
     /// Submitter's ambient trace context, re-installed around fn() so a
-    /// request's causal chain survives the queue hop (and any steal).
-    /// Captured only while the tracer is enabled; inactive otherwise.
+    /// request's causal chain survives the queue hop. Captured only while
+    /// the tracer is enabled; inactive otherwise.
     obs::TraceContext trace;
   };
-  /// One worker's deque. Cache-line-aligned so two workers' queue locks
-  /// never share a line. The per-queue mutex (not a lock-free deque) is
-  /// deliberate: tasks here are whole simulations, microseconds to
-  /// milliseconds each, so queue-transfer cost is noise and the mutex keeps
-  /// the steal protocol trivially correct under TSan.
-  struct alignas(64) WorkerQueue {
-    std::mutex mutex;
-    std::deque<Task> tasks;
-  };
 
-  void worker_loop(std::size_t self);
-  /// Own-deque pop (front) then steal scan (back of each sibling, round
-  /// robin from self+1) — or the reverse with EVC_POOL_STEAL=force.
-  bool try_acquire(std::size_t self, Task& out);
-  bool pop_own(std::size_t self, Task& out);
-  bool try_steal(std::size_t self, Task& out);
+  void worker_loop();
   static void run_task(Task& task);
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  /// Tasks pushed minus tasks claimed. Pushes increment under mutex_ (so a
-  /// waiting worker cannot miss the wakeup); claims decrement after the pop,
-  /// so the count can be transiently negative — the wait predicate uses > 0.
-  std::atomic<std::int64_t> task_count_{0};
-  std::atomic<std::uint64_t> next_queue_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::uint32_t steals_metric_ = 0;
-  bool steal_first_ = false;  ///< EVC_POOL_STEAL=force
-  bool stop_ = false;
+  std::deque<Task> tasks_;  ///< guarded by mutex_
+  bool stop_ = false;       ///< guarded by mutex_
 };
 
 /// Run fn(i) for every i in [0, n) using `pool`'s helpers plus the calling

@@ -1,7 +1,7 @@
 // Overload-robust multi-tenant climate service.
 //
 // Long-lived per-vehicle simulation sessions behind an async step-request
-// API, sharded across the work-stealing rt::ThreadPool. Each vehicle id is
+// API, sharded across the shared-queue rt::ThreadPool. Each vehicle id is
 // pinned to one shard (hash), and each shard runs at most one *pump* task
 // at a time, so per-vehicle step order is serialized without per-session
 // locks. The service composes the robustness pieces grown by earlier PRs:

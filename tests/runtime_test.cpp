@@ -1,19 +1,19 @@
 // Thread-pool batch runner: determinism (slot-indexed results identical to
-// the serial loop), exception propagation, and serial degradation.
+// the serial loop), exception propagation, serial degradation, and the
+// shared queue's draining guarantees.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <future>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
-#include <optional>
-#include <string>
 
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
@@ -24,28 +24,6 @@ namespace {
 
 using namespace evc;
 
-/// Sets an environment variable for its lifetime, then restores the
-/// caller's value (or unsets it if there was none). A test that forces
-/// EVC_POOL_STEAL thus leaves a whole-binary EVC_POOL_STEAL=force run in
-/// force mode for the tests after it.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (saved_) ::setenv(name_, saved_->c_str(), 1);
-    else ::unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
-
 TEST(ThreadPool, ParallelMapMatchesSerialLoop) {
   const std::size_t n = 200;
   const auto fn = [](std::size_t i) {
@@ -54,22 +32,10 @@ TEST(ThreadPool, ParallelMapMatchesSerialLoop) {
       acc += static_cast<double>(k * k) * 1e-3;
     return acc;
   };
-  const auto expect_serial = [&](rt::ThreadPool& pool) {
-    const std::vector<double> parallel = rt::parallel_map<double>(pool, n, fn);
-    ASSERT_EQ(parallel.size(), n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(parallel[i], fn(i));
-  };
   rt::ThreadPool pool(3);
-  expect_serial(pool);
-
-  // A steal-first pool (EVC_POOL_STEAL=force, read at construction) must
-  // give the same slot-indexed results. steals() is not asserted: the body
-  // is cheap enough that the caller can drain all n indices before any
-  // worker runs. TraceContextSurvivesForcedWorkStealing covers the steal
-  // path itself.
-  const ScopedEnv force_steal("EVC_POOL_STEAL", "force");
-  rt::ThreadPool stealing(3);
-  expect_serial(stealing);
+  const std::vector<double> parallel = rt::parallel_map<double>(pool, n, fn);
+  ASSERT_EQ(parallel.size(), n);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(parallel[i], fn(i));
 }
 
 TEST(ThreadPool, ZeroWorkersRunsInline) {
@@ -107,6 +73,60 @@ TEST(ThreadPool, DefaultConcurrencyIsPositive) {
   EXPECT_GE(rt::ThreadPool::default_concurrency(), 1u);
 }
 
+TEST(ThreadPool, LongTaskDoesNotStrandTheQueue) {
+  // One worker sits in a task that blocks until the test releases it; the
+  // other worker must still run every task queued behind it.
+  const std::size_t n = 16;
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  std::size_t done = 0;
+  rt::ThreadPool pool(2);  // destroyed first: joins after the release
+  pool.submit([&]() {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return release; });
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    pool.submit([&]() {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++done;
+      cv.notify_all();
+    });
+  }
+  bool drained = false;
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    drained = cv.wait_for(lock, std::chrono::seconds(30),
+                          [&] { return done == n; });
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_TRUE(drained) << done << " of " << n
+                       << " tasks ran while the long task blocked";
+}
+
+TEST(ThreadPool, DestructorRunsEveryQueuedTask) {
+  // The only worker is held in a gate task while 64 tasks queue behind it;
+  // the gate opens only after the destructor has begun, so every task is
+  // still queued when the pool is told to stop.
+  const std::size_t n = 64;
+  std::atomic<std::size_t> ran{0};
+  std::promise<void> gate;
+  std::thread opener;
+  {
+    rt::ThreadPool pool(1);
+    pool.submit([opened = gate.get_future().share()]() { opened.wait(); });
+    for (std::size_t i = 0; i < n; ++i)
+      pool.submit([&]() { ran.fetch_add(1, std::memory_order_relaxed); });
+    opener = std::thread([&gate]() {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      gate.set_value();
+    });
+  }
+  opener.join();
+  EXPECT_EQ(ran.load(), n);
+}
+
 TEST(Deadline, InactiveNeverExpires) {
   const rt::Deadline none;
   EXPECT_FALSE(none.active());
@@ -140,11 +160,9 @@ TEST(Deadline, ExpiryAtBoundaryIsInclusive) {
   EXPECT_TRUE(at_tick.expired(now + rt::Deadline::Clock::duration(1)));
 }
 
-TEST(ThreadPool, TraceContextSurvivesForcedWorkStealing) {
-  // EVC_POOL_STEAL=force makes every worker scan siblings' deques before
-  // its own, driving tasks through the steal path; the submitter's ambient
-  // TraceContext must still be re-installed around each task.
-  const ScopedEnv force_steal("EVC_POOL_STEAL", "force");
+TEST(ThreadPool, TraceContextSurvivesTheQueueHop) {
+  // Each task runs on whichever worker pops it; the submitter's ambient
+  // TraceContext must still be re-installed around it.
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.set_enabled(true);
 
@@ -153,9 +171,8 @@ TEST(ThreadPool, TraceContextSurvivesForcedWorkStealing) {
   std::atomic<std::size_t> done{0};
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  std::uint64_t steals = 0;
   {
-    rt::ThreadPool pool(3);  // constructed after setenv: steal-first mode
+    rt::ThreadPool pool(3);
     ASSERT_EQ(pool.size(), 3u);
     for (std::size_t i = 0; i < n; ++i) {
       obs::TraceContext ctx;
@@ -175,13 +192,10 @@ TEST(ThreadPool, TraceContextSurvivesForcedWorkStealing) {
     }
     std::unique_lock<std::mutex> lock(done_mutex);
     done_cv.wait(lock, [&] { return done.load() == n; });
-    steals = pool.steals();
   }
   tracer.set_enabled(false);
 
   EXPECT_EQ(correct.load(), n);
-  // With three workers racing in steal-first mode some claims must steal.
-  EXPECT_GT(steals, 0u);
   // The submitting thread's ambient context was restored each iteration.
   EXPECT_FALSE(obs::ambient_trace_context().active());
 }
