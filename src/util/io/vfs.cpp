@@ -34,10 +34,12 @@ class PosixFile final : public File {
   }
 
   std::size_t read(void* buf, std::size_t n) override {
-    vfs_metrics().read(n);
     for (;;) {
       const ssize_t r = ::read(fd_, buf, n);
-      if (r >= 0) return static_cast<std::size_t>(r);
+      if (r >= 0) {
+        vfs_metrics().read(static_cast<std::size_t>(r));
+        return static_cast<std::size_t>(r);
+      }
       if (errno == EINTR) continue;
       throw_errno("read " + path_);
     }

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/io/mem_vfs.hpp"
 #include "util/io/vfs.hpp"
 
@@ -83,6 +84,31 @@ TEST(PosixVfs, AppendModeAppends) {
     file->sync();
   }
   EXPECT_EQ(io::read_whole_file(vfs, dir + "/log"), "onetwo");
+  std::filesystem::remove_all(dir);
+}
+
+// --- io.* metrics ---
+
+std::uint64_t bytes_read_counter() {
+  for (const auto& metric : obs::MetricsRegistry::global().snapshot().metrics)
+    if (metric.name == "io.bytes_read") return metric.counter;
+  return 0;  // not registered yet: nothing was read
+}
+
+TEST(VfsMetrics, BytesReadCountsWhatEachReadReturns) {
+  // read_whole_file asks for 64 KiB per read; a smaller file must book its
+  // own size, not the size of the requests.
+  const std::string bytes(1000, 'x');
+  const std::string dir = fresh_dir("bytes_read");
+  MemVfs mem;
+  for (io::Vfs* vfs : {&io::posix_vfs(), static_cast<io::Vfs*>(&mem)}) {
+    SCOPED_TRACE(vfs->name());
+    vfs->make_dirs(dir);
+    put(*vfs, dir + "/f", bytes);
+    const std::uint64_t before = bytes_read_counter();
+    EXPECT_EQ(io::read_whole_file(*vfs, dir + "/f"), bytes);
+    EXPECT_EQ(bytes_read_counter() - before, bytes.size());
+  }
   std::filesystem::remove_all(dir);
 }
 
