@@ -67,7 +67,9 @@ struct TraceStats {
 
 class Tracer {
  public:
-  static constexpr std::size_t kRingCapacity = 8192;
+  /// Events per thread ring. A ring is allocated on a thread's first
+  /// event while tracing is on and costs 32,768 × 136 B ≈ 4.5 MB.
+  static constexpr std::size_t kRingCapacity = 32768;
 
   static Tracer& global();
 
