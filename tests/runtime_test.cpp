@@ -106,9 +106,9 @@ TEST(ThreadPool, LongTaskDoesNotStrandTheQueue) {
 }
 
 TEST(ThreadPool, DestructorRunsEveryQueuedTask) {
-  // The only worker is held in a gate task while 64 tasks queue behind it;
-  // the gate opens only after the destructor has begun, so every task is
-  // still queued when the pool is told to stop.
+  // The only worker is held in a gate task while 64 tasks queue behind it.
+  // Another thread opens the gate 50 ms later, by which time the destructor
+  // has begun, so the tasks are still queued when the pool is told to stop.
   const std::size_t n = 64;
   std::atomic<std::size_t> ran{0};
   std::promise<void> gate;
