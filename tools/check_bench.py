@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over BENCH_solver.json.
+"""Perf-regression gate over BENCH_solver.json, and the paper gate.
 
 Compares a fresh bench_solver_perf run against the committed baseline
 (bench/baselines/BENCH_solver.baseline.json) and fails when a watched bench
@@ -14,14 +14,30 @@ factor by more than the allowed regression — i.e. it got slower *relative to
 the rest of the suite*, which is what a code regression looks like. A
 uniformly slow CI host shifts every ratio equally and passes.
 
+The paper gate holds a bench_paper run (Fig. 6/7/8 and Table I, every cell
+as JSON) against the golden bench/baselines/PAPER_results.json. Per cell
+(the five drive profiles at 35 C; ECE_EUDC at 43, 35, 32, 21, 10 and 0 C):
+  (a) the MPC's dSoH improvement over On/Off and over fuzzy is at least the
+      golden's minus 0.25 points;
+  (b) the MPC's HVAC power saving over On/Off and over fuzzy is at least the
+      golden's minus 0.5 points;
+  (c) the MPC's comfort: no time outside the comfort zone, max |Tz - target|
+      at most 0.5 C, RMS error at most the golden's plus 0.1 C;
+  (d) in Fig. 6's cell (ECE_EUDC at 35 C), the MPC's corr(motor, HVAC) is at
+      most the golden's and its corr(motor, dTz/dt) at least the golden's.
+
 Usage:
   check_bench.py compare BASELINE CURRENT [--max-regression 0.10]
                  [--bench NAME ...]
   check_bench.py update BASELINE CURRENT
+  check_bench.py paper GOLDEN CURRENT
 
 `compare` exits 1 on regression (or malformed input). `update` rewrites the
 baseline file from a current run — do this deliberately, in its own commit,
-when an intentional perf change moves the floor.
+when an intentional perf change moves the floor. `paper` exits 1 when any
+cell misses a tolerance; record a new golden only for a change that is
+meant to move the science, as `bench_paper --out X` reformatted with
+`python3 -m json.tool --indent 1`.
 """
 
 import argparse
@@ -37,6 +53,14 @@ DEFAULT_WATCHED = [
 ]
 
 SCHEMA = "evclimate-solver-bench-v1"
+PAPER_SCHEMA = "evclimate-paper-v1"
+
+# The paper gate's tolerances (see the module docstring).
+DSOH_SLACK_POINTS = 0.25
+HVAC_SLACK_POINTS = 0.5
+MAX_ABS_ERROR_C = 0.5
+RMS_SLACK_C = 0.1
+FIG6_CELL = ("ECE_EUDC", 35.0)
 
 
 def load_benches(path):
@@ -119,6 +143,82 @@ def cmd_update(args):
     return 0
 
 
+def load_paper(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("schema") != PAPER_SCHEMA:
+        sys.exit(f"{path}: expected schema '{PAPER_SCHEMA}', "
+                 f"got {doc.get('schema')!r}")
+    cells = {}
+    for cell in doc.get("cells", []):
+        runs = cell.get("controllers", {})
+        if not all(k in runs for k in ("onoff", "fuzzy", "mpc")):
+            sys.exit(f"{path}: cell missing a controller: {cell}")
+        cells[(cell["cycle"], float(cell["ambient_c"]))] = runs
+    if not cells:
+        sys.exit(f"{path}: no cells")
+    return cells
+
+
+def improvement(baseline, ours):
+    """Percent improvement of `ours` over `baseline` (positive = lower)."""
+    return (baseline - ours) / baseline * 100.0
+
+
+def paper_checks(golden, current):
+    """Yield (name, value, bound, ok) for every tolerance of one cell."""
+    mpc, gold = current["mpc"], golden["mpc"]
+    for quantity, slack, label in (
+            ("delta_soh_percent", DSOH_SLACK_POINTS, "dSoH impr"),
+            ("avg_hvac_power_w", HVAC_SLACK_POINTS, "HVAC saving")):
+        for base in ("onoff", "fuzzy"):
+            value = improvement(current[base][quantity], mpc[quantity])
+            bound = improvement(golden[base][quantity], gold[quantity]) - slack
+            yield (f"{label} vs {base} [%]", value, f">= {bound:.3f}",
+                   value >= bound)
+    yield ("time outside zone", mpc["fraction_outside"], "== 0",
+           mpc["fraction_outside"] == 0.0)
+    yield ("max |error| [C]", mpc["max_abs_error_c"],
+           f"<= {MAX_ABS_ERROR_C}", mpc["max_abs_error_c"] <= MAX_ABS_ERROR_C)
+    bound = gold["rms_error_c"] + RMS_SLACK_C
+    yield ("RMS error [C]", mpc["rms_error_c"], f"<= {bound:.3f}",
+           mpc["rms_error_c"] <= bound)
+
+
+def fig6_checks(golden, current):
+    mpc, gold = current["mpc"], golden["mpc"]
+    yield ("corr(motor, HVAC)", mpc["corr_motor_hvac"],
+           f"<= {gold['corr_motor_hvac']:.3f}",
+           mpc["corr_motor_hvac"] <= gold["corr_motor_hvac"])
+    yield ("corr(motor, dTz/dt)", mpc["corr_motor_dtz"],
+           f">= {gold['corr_motor_dtz']:.3f}",
+           mpc["corr_motor_dtz"] >= gold["corr_motor_dtz"])
+
+
+def cmd_paper(args):
+    golden = load_paper(args.golden)
+    current = load_paper(args.current)
+    missing = sorted(set(golden) - set(current))
+    if missing:
+        sys.exit(f"cells missing from run: {missing}")
+
+    failures = 0
+    for key in golden:
+        checks = list(paper_checks(golden[key], current[key]))
+        if key == FIG6_CELL:
+            checks += list(fig6_checks(golden[key], current[key]))
+        print(f"{key[0]} @ {key[1]:g} C")
+        for name, value, bound, ok in checks:
+            print(f"  {name:<24} {value:>9.4f}  {bound:<10} "
+                  f"{'ok' if ok else 'FAIL'}")
+            failures += 0 if ok else 1
+    if failures:
+        print(f"FAIL: {failures} paper tolerance(s) missed", file=sys.stderr)
+        return 1
+    print(f"paper gate passed ({len(golden)} cells)")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -138,6 +238,11 @@ def main():
     update.add_argument("baseline")
     update.add_argument("current")
     update.set_defaults(fn=cmd_update)
+
+    paper = sub.add_parser("paper", help="gate a bench_paper run vs golden")
+    paper.add_argument("golden")
+    paper.add_argument("current")
+    paper.set_defaults(fn=cmd_paper)
 
     args = parser.parse_args()
     sys.exit(args.fn(args))
