@@ -28,7 +28,7 @@
 namespace evc::core {
 
 struct MpcOptions {
-  std::size_t horizon = 12;  ///< N, steps in the control window
+  std::size_t horizon = 6;  ///< N, steps in the control window
   double step_s = 5.0;       ///< MPC discretization = replanning period
   MpcWeights weights;
   opt::SqpOptions sqp;
@@ -48,8 +48,12 @@ struct MpcOptions {
   MpcOptions() {
     // The receding horizon forgives small suboptimality; favour speed.
     // Temperatures to 1 mK and constraint residuals to 0.1 mK are far
-    // below actuator resolution.
-    sqp.max_iterations = 8;
+    // below actuator resolution. The window (N = 6, 30 s) and the depth
+    // (4 SQP iterations, no second-order correction) are the cheapest
+    // swept setting the paper gate accepts (EXPERIMENTS.md, "MPC horizon
+    // and SQP depth").
+    sqp.max_iterations = 4;
+    sqp.second_order_correction = false;
     sqp.step_tolerance = 1e-3;
     sqp.constraint_tolerance = 1e-4;
     sqp.hessian_regularization = 1e-6;

@@ -350,20 +350,31 @@ TEST(CondensedQpTest, RecedingHorizonWarmSolvesTakeFewDualSteps) {
   EXPECT_LT(mean_steps, 8.0) << "over " << warm_solves << " warm solves";
 }
 
-TEST(CondensedQpTest, ClosedLoopTripIsPinnedBitForBit) {
-  // The first 600 s of ECE_EUDC at 35 C under the default MPC. A solver
-  // change that claims to save work without changing the science must
-  // leave every bit of the trip's paper quantities, and every count of
-  // the work done, as recorded here.
+/// The first 600 s of ECE_EUDC at 35 C under an MPC with `options`: the
+/// trip's metrics and the controller's plan statistics.
+std::pair<core::TripMetrics, core::MpcPlanStats> run_pinned_trip(
+    const core::MpcOptions& options) {
   const core::EvParams params;
   const auto profile =
       drive::make_cycle_profile(drive::StandardCycle::kEceEudc, 35.0)
           .window(0, 600);
-  auto controller = core::make_mpc_controller(params);
+  auto controller = core::make_mpc_controller(params, options);
   core::SimulationSession session(params, *controller, profile, {});
   session.run_to_completion();
-  const core::TripMetrics m = session.finish().metrics;
-  const core::MpcPlanStats& stats = controller->stats();
+  return {session.finish().metrics, controller->stats()};
+}
+
+TEST(CondensedQpTest, ClosedLoopTripIsPinnedBitForBit) {
+  // A solver change that claims to save work without changing the science
+  // must leave every bit of the trip's paper quantities, and every count
+  // of the work done, as recorded here. Recorded with N = 12, 8 SQP
+  // iterations and the second-order correction on, so the trip exercises
+  // the correction and later iterations of a plan.
+  core::MpcOptions options;
+  options.horizon = 12;
+  options.sqp.max_iterations = 8;
+  options.sqp.second_order_correction = true;
+  const auto [m, stats] = run_pinned_trip(options);
   // 0.012972434059650883 %, 1255.8375964059251 W, 0.03602664139063004 C.
   EXPECT_EQ(std::bit_cast<std::uint64_t>(m.delta_soh_percent),
             0x3f8a914aa0492606ull)
@@ -377,6 +388,25 @@ TEST(CondensedQpTest, ClosedLoopTripIsPinnedBitForBit) {
   EXPECT_EQ(stats.plans, 120u);
   EXPECT_EQ(stats.sqp_iterations, 955u);
   EXPECT_EQ(stats.qp_iterations, 5676u);
+}
+
+TEST(CondensedQpTest, ClosedLoopTripAtTheDefaultIsPinnedBitForBit) {
+  // The same trip under the default MPC: a change to the default's values
+  // or to the solver's arithmetic shows here.
+  const auto [m, stats] = run_pinned_trip(core::MpcOptions{});
+  // 0.012965218545385408 %, 1239.2705909109047 W, 0.01326235649047436 C.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.delta_soh_percent),
+            0x3f8a8d822d1a7762ull)
+      << m.delta_soh_percent;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.avg_hvac_power_w),
+            0x40935d1515c8a3b9ull)
+      << m.avg_hvac_power_w;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.comfort.rms_error_c),
+            0x3f8b294b5b27e581ull)
+      << m.comfort.rms_error_c;
+  EXPECT_EQ(stats.plans, 120u);
+  EXPECT_EQ(stats.sqp_iterations, 480u);
+  EXPECT_EQ(stats.qp_iterations, 1005u);
 }
 
 /// An MPC window whose condensing plan is sized for a problem one variable

@@ -336,6 +336,17 @@ TEST(MpcController, EmptyForecastFallsBackGracefully) {
   EXPECT_GT(in.air_flow_kg_s, 0.0);
 }
 
+TEST(MpcController, DefaultPlansWithoutTheSecondOrderCorrection) {
+  // The MPC's SQP runs without the correction (the paper gate's cheapest
+  // accepted setting), while the solver's own default keeps it for the
+  // curved manifolds it was built for (SqpCircle).
+  const MpcOptions mpc;
+  EXPECT_FALSE(mpc.sqp.second_order_correction);
+  EXPECT_EQ(mpc.horizon, 6u);
+  EXPECT_EQ(mpc.sqp.max_iterations, 4u);
+  EXPECT_TRUE(opt::SqpOptions{}.second_order_correction);
+}
+
 TEST(MpcController, RejectsDegenerateOptions) {
   MpcOptions opts;
   opts.horizon = 1;
