@@ -16,9 +16,10 @@
 //     min ½ vᵀ(ZᵀHZ) v + (Zᵀ(H·d_p + g))ᵀ v   s.t.  (A·Z) v ≤ b − A·d_p
 //
 // solved by the warm-started dense active-set method in
-// optim/dense_active_set. The 60-variable dense QP is solved by a few
-// active-set steps seeded from the previous subproblem's final working set
-// (a mean of 5.8 on Fig. 5's closed loop, see dense_active_set.hpp).
+// optim/dense_active_set. The dense QP (30 variables at the default
+// N = 6) is solved by a few active-set steps seeded from the previous
+// subproblem's final working set (a mean of 2.0 on Fig. 5's closed loop,
+// see dense_active_set.hpp).
 //
 // The solver keeps no cross-solve state: every call condenses the live
 // QpProblem it is given, so its result is a pure function of that problem

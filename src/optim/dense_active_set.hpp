@@ -7,13 +7,15 @@
 // (optim/condensed_qp). The receding-horizon usage pattern is a sequence of
 // nearly identical QPs whose optimal active set changes little from one
 // solve to the next, which is the regime where an active-set method
-// shines. Measured on Fig. 5's closed-loop ECE_EUDC run at 35 °C, whose
-// 1,836 warm solves are each seeded with the previous subproblem's final
-// working set: a mean of 5.8 dual steps per solve, 53 % confirm optimality
-// in one step, and 17 % still take 17–32 steps. Almost all of that tail
-// (300 of 313) is later SQP iterations inside a plan; each plan's first
-// subproblem averages 4.8 steps. Seeded from the multiplier support alone,
-// the same solves took a mean of 31.9 steps and none took 2 or fewer.
+// shines. Measured on Fig. 5's closed-loop ECE_EUDC run at 35 °C under the
+// default MPC (N = 6, at most 4 SQP iterations), whose 943 warm solves are
+// each seeded with the previous subproblem's final working set: a mean of
+// 2.0 dual steps per solve, 39 % confirm optimality in one step, and none
+// takes more than 9. Each plan's first subproblem averages 2.7 steps, its
+// later ones 1.8. At the previous N = 12, 8-iteration default the same
+// run's 1,836 warm solves took a mean of 5.8 steps, 17 % of them 17–32,
+// nearly all in a plan's later iterations; seeded from the multiplier
+// support alone, they took a mean of 31.9.
 //
 // Method: dual active set (Goldfarb–Idnani). Start at the optimum of a
 // relaxed problem — the seeded working set W, pruned of any row whose
@@ -35,12 +37,13 @@
 // every working set.
 //
 // Rows of A with at most two nonzeros — about 110 of the condensed MPC's
-// 192, and most of a working set, since bounds on one input condense to one
-// entry — may be passed as a num::ShortRows table by a caller that knows
-// them (the condensing, which forms A). Every dot with such a row is then
-// formed from its entries, with the blocked kernel's bits; a caller with no
-// such structure passes none and pays for no scan. The Cholesky solves
-// H⁻¹a_p skip the zero prefix of a_p (CholeskyFactorization::solve_into).
+// 192 at N = 12, and most of a working set, since bounds on one input
+// condense to one entry — may be passed as a num::ShortRows table by a
+// caller that knows them (the condensing, which forms A). Every dot with
+// such a row is then formed from its entries, with the blocked kernel's
+// bits; a caller with no such structure passes none and pays for no scan.
+// The Cholesky solves H⁻¹a_p skip the zero prefix of a_p
+// (CholeskyFactorization::solve_into).
 //
 // The Cholesky factor of S is maintained incrementally: adding a constraint
 // appends one row (a triangular solve — arithmetic identical to the
@@ -53,10 +56,11 @@
 //
 // Step cap: 2·(m + n) dual steps, derived from the problem's size rather
 // than fixed. Finite termination gives no useful bound of its own, so the
-// factor comes from measurement: the longest solves seen took 251–270
-// steps on the MPC's m + n = 252 subproblem (chaos soak, a plan's first
-// SQP iteration after a fault), every other solve seen took at most 169,
-// and the cap there is 504.
+// factor comes from measurement: at N = 12 the longest solves seen took
+// 251–270 steps on the MPC's m + n = 252 subproblem (chaos soak, a plan's
+// first SQP iteration after a fault), every other solve seen took at most
+// 169, and the cap there is 504. At the default N = 6 (m + n = 126, cap
+// 252) the same soak's longest solve takes 75 steps.
 //
 // Failure honesty: a singular Schur append (numerically dependent working
 // rows), an infeasible subproblem (no curvature toward a violated row and
