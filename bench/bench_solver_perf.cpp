@@ -6,7 +6,7 @@
 // (BENCH_solver.json in CI). Unlike
 // bench_micro_optim (google-benchmark, human-oriented), this harness is
 // plain chrono so the output schema is ours and diffable across runs.
-// Each MPC row repeats its work for about 50 ms at the default MPC on the
+// Each row repeats its work for about 50 ms (at the default MPC) on the
 // 4-vCPU reference guest, so one scheduler hiccup is a small share of it.
 // The output:
 //   { "schema",
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
                     problem.b_vec, warm, v, lambda)
              .usable())
       return 1;
-    const std::size_t reps = 200;
+    const std::size_t reps = 1700;
     SplitMix64 rng(7);
     const auto start = Clock::now();
     for (std::size_t r = 0; r < reps; ++r) {
