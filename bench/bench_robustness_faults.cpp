@@ -78,9 +78,10 @@ ScenarioResult run_scenario(const core::EvParams& params,
   core::MpcOptions mpc_options;
   mpc_options.accessory_power_w = params.vehicle.accessory_power_w;
   if (s.starve_solver) {
-    // A budget far below one SQP iteration (tens of µs at the default
-    // MPC): every full-MPC plan times out after its first iteration, on
-    // any host, and the supervisor must ride the chain.
+    // A budget far below one SQP iteration (a warm default plan of four
+    // iterations takes about 50 µs): every full-MPC plan times out after
+    // its first iteration, on any host, and the supervisor must ride the
+    // chain.
     mpc_options.sqp.time_budget_s = 1e-6;
   }
   ctl::SupervisorOptions sup_options;
