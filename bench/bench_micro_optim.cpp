@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): per-call latency of the hot kernels
 // behind the figures — a full SQP solve of one MPC window, a single MPC
-// planning step, and the plant/battery models.
+// planning step, the plant/battery models, and the session service's
+// per-request checkpoint round trip.
 //
 // These bound the controller's real-time budget: the paper's methodology
 // is only deployable if a plan completes well within the control period.
@@ -8,8 +9,12 @@
 
 #include "battery/battery_pack.hpp"
 #include <string>
+#include <vector>
 
+#include "core/experiment.hpp"
 #include "core/mpc_controller.hpp"
+#include "core/simulation.hpp"
+#include "drivecycle/standard_cycles.hpp"
 #include "hvac/hvac_plant.hpp"
 #include "optim/condensed_qp.hpp"
 #include "optim/sqp.hpp"
@@ -125,6 +130,41 @@ void BM_BatteryPackStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatteryPackStep);
+
+// What the session service pays per request on a resident vehicle: a
+// fresh session over the shard's controller, restore of the vehicle's
+// checkpoint, one step, and a new checkpoint. The vehicle is 41 steps into
+// ECE_EUDC at 35 C under the service's defaults (32-record flight ring, no
+// traces, shared motor-power trace), so the timed step holds the plan made
+// at t = 40 s, as four requests in five do.
+void BM_SessionRoundTrip(benchmark::State& state) {
+  const core::EvParams params;
+  const drive::DriveProfile profile =
+      drive::make_cycle_profile(drive::StandardCycle::kEceEudc, 35.0);
+  const std::vector<double> motor_power =
+      core::precompute_motor_power(params, profile);
+  const auto controller = core::make_supervised_mpc_controller(params);
+  core::SimulationOptions options;
+  options.initial_soc_percent = 80.0;
+  options.initial_cabin_temp_c = 34.0;
+  options.record_traces = false;
+  options.flight_recorder_capacity = 32;
+  options.motor_power_cache = &motor_power;
+  std::string blob;
+  {
+    core::SimulationSession session(params, *controller, profile, options);
+    for (int i = 0; i < 41; ++i) session.advance();
+    blob = session.checkpoint();
+  }
+  for (auto _ : state) {
+    core::SimulationSession session(params, *controller, profile, options);
+    session.restore(blob);
+    session.advance();
+    benchmark::DoNotOptimize(session.checkpoint());
+  }
+  state.counters["blob_bytes"] = static_cast<double>(blob.size());
+}
+BENCHMARK(BM_SessionRoundTrip)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

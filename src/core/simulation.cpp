@@ -54,9 +54,11 @@ SimulationSession::SimulationSession(const EvParams& params,
                "motor-power cache length does not match the profile");
     motor_power_ = *options.motor_power_cache;
   } else {
-    motor_power_.resize(n_);
+    own_motor_power_.resize(n_);
     for (std::size_t i = 0; i < n_; ++i)
-      motor_power_[i] = ev_.power_train().power(profile[i]).electrical_power_w;
+      own_motor_power_[i] =
+          ev_.power_train().power(profile[i]).electrical_power_w;
+    motor_power_ = own_motor_power_;
   }
 
   forecast_samples_ = std::max<std::size_t>(

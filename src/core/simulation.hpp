@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -148,7 +149,12 @@ class SimulationSession {
   SimulationOptions options_;
 
   EvModel ev_;
-  std::vector<double> motor_power_;
+  /// The session's own motor-power trace, computed only when no
+  /// SimulationOptions::motor_power_cache is given.
+  std::vector<double> own_motor_power_;
+  /// The trace every step reads: the caller's cache or own_motor_power_
+  /// (a span over a vector's buffer survives moving the session).
+  std::span<const double> motor_power_;
   std::size_t forecast_samples_ = 1;
   double dt_ = 1.0;
   std::size_t n_ = 0;

@@ -1,5 +1,8 @@
 #include "sim/checkpoint.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "util/io/vfs.hpp"
 #include "util/serialize.hpp"
 
@@ -12,13 +15,32 @@ const char kMagic[8] = {'E', 'V', 'C', 'K', 'P', 'T', '\0', '\1'};
 
 }  // namespace
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001B3ull;
-  }
-  return h;
+std::uint64_t payload_checksum(std::string_view payload) {
+  // Odd, so each lane step is a bijection of the lane state.
+  constexpr std::uint64_t kPrime = 0x9E3779B185EBCA87ull;
+  std::uint64_t lane[4] = {0x243F6A8885A308D3ull, 0x13198A2E03707344ull,
+                           0xA4093822299F31D0ull, 0x082EFA98EC4E6C89ull};
+  const auto word = [](const char* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));  // little-endian (serialize.hpp)
+    return w;
+  };
+  const char* p = payload.data();
+  std::size_t n = payload.size();
+  // Four independent multiply chains keep the multiplier busy; one chain
+  // would wait out a multiply latency per word.
+  for (; n >= 32; p += 32, n -= 32)
+    for (int k = 0; k < 4; ++k) lane[k] = (lane[k] ^ word(p + 8 * k)) * kPrime;
+  for (int k = 0; n >= 8; p += 8, n -= 8, ++k)
+    lane[k] = (lane[k] ^ word(p)) * kPrime;
+  std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+                    std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  for (; n > 0; ++p, --n)
+    h = (h ^ static_cast<unsigned char>(*p)) * kPrime;
+  h ^= static_cast<std::uint64_t>(payload.size());
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+  return h ^ (h >> 31);
 }
 
 Checkpoint Checkpoint::wrap(std::string payload) {
@@ -28,13 +50,15 @@ Checkpoint Checkpoint::wrap(std::string payload) {
 }
 
 std::string Checkpoint::encode() const {
-  BinaryWriter w;
-  std::string out(kMagic, sizeof(kMagic));
-  w.write_u32(kCheckpointFormatVersion);
-  w.write_u64(payload_.size());
-  w.write_u64(fnv1a64(payload_));
-  out += w.take();
-  out += payload_;
+  BinaryWriter header;
+  header.write_u32(kCheckpointFormatVersion);
+  header.write_u64(payload_.size());
+  header.write_u64(payload_checksum(payload_));
+  std::string out;
+  out.reserve(sizeof(kMagic) + header.bytes().size() + payload_.size());
+  out.append(kMagic, sizeof(kMagic));
+  out.append(header.bytes());
+  out.append(payload_);
   return out;
 }
 
@@ -66,10 +90,11 @@ Checkpoint Checkpoint::decode(const std::string& bytes) {
   const std::size_t body_offset = bytes.size() - header.remaining();
   if (header.remaining() != length)
     throw CorruptStateError("checkpoint payload truncated");
-  Checkpoint c;
-  c.payload_ = bytes.substr(body_offset);
-  if (fnv1a64(c.payload_) != checksum)
+  const std::string_view body = std::string_view(bytes).substr(body_offset);
+  if (payload_checksum(body) != checksum)
     throw CorruptStateError("checkpoint checksum mismatch (torn write?)");
+  Checkpoint c;
+  c.payload_ = body;
   return c;
 }
 

@@ -5,7 +5,7 @@
 // core::SimulationSession) in a self-validating envelope:
 //
 //   magic "EVCKPT\0\1" · format version u32 · payload length u64 ·
-//   FNV-1a-64 checksum of the payload · payload bytes
+//   u64 checksum of the payload (payload_checksum) · payload bytes
 //
 // The envelope makes two failure modes detectable instead of corrupting:
 //   * version skew — a checkpoint from a different format version is
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "util/serialize.hpp"
 
@@ -48,7 +49,9 @@ namespace evc::sim {
 ///     QP counter block drops its duplicate counts of solves and
 ///     factorizations, and the session section stores the last step's HVAC
 ///     power instead of the per-step HVAC power trace.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 8;
+/// v9: the envelope checksums the payload with payload_checksum (four
+///     word-parallel lanes) instead of FNV-1a-64; the payload is unchanged.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 9;
 
 /// I/O failure while writing or reading a checkpoint file (open, short
 /// write, fsync, rename). Distinct from SerializationError — the content
@@ -118,7 +121,12 @@ class Checkpoint {
   std::string payload_;
 };
 
-/// FNV-1a 64-bit — tiny, dependency-free integrity hash for the envelope.
-std::uint64_t fnv1a64(const std::string& bytes);
+/// The envelope's integrity hash: four independent lanes over 8-byte
+/// little-endian words (lane = (lane ^ word) * prime), the tail folded in
+/// byte by byte, then lanes and length through a SplitMix64 finalizer.
+/// Every step is a bijection of the running state, so any single changed
+/// word or byte changes the result. Part of the on-disk format: changing it
+/// must bump kCheckpointFormatVersion.
+std::uint64_t payload_checksum(std::string_view payload);
 
 }  // namespace evc::sim

@@ -395,20 +395,19 @@ StepResult SessionService::execute(Shard& shard, const Request& request) {
   // step" — blob fetch (memory or store), session construction, restore.
   EVC_TRACE_SPAN_VAR(hydrate_span, "svc.hydrate");
 
-  // Blob from memory, else from the store, else a fresh session.
-  std::string blob;
-  bool have_blob = false;
+  // Blob from memory, else from the store, else a fresh session. A
+  // resident blob is restored in place, not copied.
+  const std::string* blob = nullptr;
+  std::optional<std::string> loaded;
   auto it = shard.resident.find(vehicle);
   if (it != shard.resident.end()) {
-    blob = it->second.blob;
-    have_blob = true;
+    blob = &it->second.blob;
   } else {
     EVC_TRACE_SPAN_VAR(restore_span, "svc.restore");
     // Bounded retry on retryable storage failures only. Corruption never
     // surfaces here: the store quarantines the damaged generation and
     // salvages .prev internally; a session whose every generation is bad
     // comes back as nullopt and is recreated at step-0 below.
-    std::optional<std::string> loaded;
     for (std::size_t attempt = 0;; ++attempt) {
       try {
         loaded = store_.load(vehicle);
@@ -421,8 +420,7 @@ StepResult SessionService::execute(Shard& shard, const Request& request) {
       }
     }
     if (loaded) {
-      blob = std::move(*loaded);
-      have_blob = true;
+      blob = &*loaded;
       result.restored_from_disk = true;
       counters_->restores.fetch_add(1, std::memory_order_relaxed);
       reg.add(metric_ids_->restore);
@@ -454,14 +452,14 @@ StepResult SessionService::execute(Shard& shard, const Request& request) {
 
   core::SimulationSession session(params_, *shard.controller, profile_,
                                   sim_opts);
-  if (have_blob) {
-    session.restore(blob);
+  if (blob != nullptr) {
+    session.restore(*blob);
   } else {
     result.created = true;
     counters_->creates.fetch_add(1, std::memory_order_relaxed);
     reg.add(metric_ids_->create);
   }
-  hydrate_span.arg("restored", have_blob ? 1.0 : 0.0);
+  hydrate_span.arg("restored", blob != nullptr ? 1.0 : 0.0);
   // The floor in force wins over whatever floor the checkpoint carried.
   shard.controller->set_tier_floor(floor);
 
@@ -505,15 +503,14 @@ StepResult SessionService::execute(Shard& shard, const Request& request) {
   // the history of the last executed step, not an empty ring.
   if (shard.last_flight) *shard.last_flight = session.flight_recorder();
 
-  blob = session.checkpoint();
   if (it != shard.resident.end()) {
-    it->second.blob = std::move(blob);
+    it->second.blob = session.checkpoint();
     it->second.step = session.step_index();
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
   } else {
     shard.lru.push_front(vehicle);
     Resident resident;
-    resident.blob = std::move(blob);
+    resident.blob = session.checkpoint();
     resident.step = session.step_index();
     resident.lru_it = shard.lru.begin();
     shard.resident.emplace(vehicle, std::move(resident));

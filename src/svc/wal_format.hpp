@@ -25,10 +25,22 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/checkpoint.hpp"
 #include "util/serialize.hpp"
 
 namespace evc::svc::wal {
+
+/// FNV-1a 64-bit of a frame body. Frames keep this hash although the
+/// checkpoint envelope moved on (sim::payload_checksum): the manifest
+/// carries no format version, so a changed frame checksum would make every
+/// existing manifest read as torn.
+inline std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
 
 constexpr std::uint8_t kRecordUnknown = 0;
 constexpr std::uint8_t kRecordPersist = 1;
@@ -51,9 +63,9 @@ inline std::string encode_frame(const Record& record) {
   body.write_u8(record.type);
   body.write_u64(record.vehicle);
   body.write_u64(record.step);
-  const std::string& payload = body.bytes();
+  const std::string_view payload = body.bytes();
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint64_t checksum = sim::fnv1a64(payload);
+  const std::uint64_t checksum = fnv1a64(payload);
 
   std::string frame;
   frame.resize(kFrameHeaderBytes + payload.size());
@@ -81,8 +93,8 @@ inline ParsedManifest parse_frames(std::string_view bytes) {
     std::memcpy(&checksum, bytes.data() + pos + 4, 8);
     if (len > kMaxFrameBody) break;
     if (pos + kFrameHeaderBytes + len > bytes.size()) break;
-    const std::string body(bytes.substr(pos + kFrameHeaderBytes, len));
-    if (sim::fnv1a64(body) != checksum) break;
+    const std::string_view body = bytes.substr(pos + kFrameHeaderBytes, len);
+    if (fnv1a64(body) != checksum) break;
 
     Record record;
     try {

@@ -1,68 +1,27 @@
 #include "util/serialize.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 namespace evc {
 
-namespace {
+using namespace wire;
 
-// Type tags. One byte per value keeps the overhead negligible next to the
-// payload while making any reader/writer drift a hard error.
-constexpr char kTagBool = 'b';
-constexpr char kTagU8 = 'c';
-constexpr char kTagU32 = 'u';
-constexpr char kTagU64 = 'U';
-constexpr char kTagF64 = 'd';
-constexpr char kTagString = 's';
-constexpr char kTagF64Vec = 'D';
-constexpr char kTagSizeVec = 'Z';
-constexpr char kTagSection = 'S';
-
-}  // namespace
-
-void BinaryWriter::raw(const void* data, std::size_t n) {
-  out_.append(static_cast<const char*>(data), n);
+void BinaryWriter::grow(std::size_t n) {
+  buf_.resize(std::max({len_ + n, 2 * buf_.size(), std::size_t{256}}));
 }
 
-void BinaryWriter::write_bool(bool v) {
-  tag(kTagBool);
-  out_.push_back(v ? 1 : 0);
+std::string BinaryWriter::take() {
+  buf_.resize(len_);
+  len_ = 0;
+  std::string out = std::move(buf_);
+  buf_.clear();
+  return out;
 }
 
-void BinaryWriter::write_u8(std::uint8_t v) {
-  tag(kTagU8);
-  out_.push_back(static_cast<char>(v));
-}
-
-void BinaryWriter::write_u32(std::uint32_t v) {
-  tag(kTagU32);
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  raw(buf, 4);
-}
-
-void BinaryWriter::write_u64(std::uint64_t v) {
-  tag(kTagU64);
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  raw(buf, 8);
-}
-
-void BinaryWriter::write_f64(double v) {
-  tag(kTagF64);
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  char buf[8];
-  for (int i = 0; i < 8; ++i)
-    buf[i] = static_cast<char>((bits >> (8 * i)) & 0xFF);
-  raw(buf, 8);
-}
-
-void BinaryWriter::write_string(const std::string& s) {
-  tag(kTagString);
+void BinaryWriter::write_string(std::string_view s) {
+  put_tag(kTagString);
   write_u64(s.size());
-  raw(s.data(), s.size());
+  put(s.data(), s.size());
 }
 
 void BinaryWriter::write_f64_vec(const std::vector<double>& v) {
@@ -70,24 +29,26 @@ void BinaryWriter::write_f64_vec(const std::vector<double>& v) {
 }
 
 void BinaryWriter::write_f64_seq(const double* data, std::size_t n) {
-  tag(kTagF64Vec);
+  put_tag(kTagF64Vec);
   write_u64(n);
   for (std::size_t i = 0; i < n; ++i) write_f64(data[i]);
 }
 
 void BinaryWriter::write_size_vec(const std::vector<std::size_t>& v) {
-  tag(kTagSizeVec);
+  put_tag(kTagSizeVec);
   write_u64(v.size());
   for (std::size_t x : v) write_size(x);
 }
 
-void BinaryWriter::section(const std::string& name) {
-  tag(kTagSection);
+void BinaryWriter::section(std::string_view name) {
+  put_tag(kTagSection);
   write_string(name);
 }
 
+void BinaryReader::fail(const char* what) { throw SerializationError(what); }
+
 char BinaryReader::tag() {
-  if (pos_ >= data_.size()) throw SerializationError("unexpected end of data");
+  if (pos_ >= data_.size()) fail("unexpected end of data");
   return data_[pos_++];
 }
 
@@ -99,77 +60,34 @@ void BinaryReader::expect_tag(char want, const char* what) {
 }
 
 void BinaryReader::raw(void* out, std::size_t n) {
-  if (remaining() < n) throw SerializationError("truncated payload");
+  if (remaining() < n) fail("truncated payload");
   std::memcpy(out, data_.data() + pos_, n);
   pos_ += n;
 }
 
-bool BinaryReader::read_bool() {
-  expect_tag(kTagBool, "bool");
-  char v;
-  raw(&v, 1);
-  if (v != 0 && v != 1) throw SerializationError("malformed bool");
-  return v == 1;
+void BinaryReader::take_tagged_checked(char want, const char* what, void* out,
+                                       std::size_t n) {
+  expect_tag(want, what);
+  raw(out, n);
 }
 
-std::uint8_t BinaryReader::read_u8() {
-  expect_tag(kTagU8, "u8");
-  char v;
-  raw(&v, 1);
-  return static_cast<std::uint8_t>(v);
-}
-
-std::uint32_t BinaryReader::read_u32() {
-  expect_tag(kTagU32, "u32");
-  unsigned char buf[4];
-  raw(buf, 4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t BinaryReader::read_u64() {
-  expect_tag(kTagU64, "u64");
-  unsigned char buf[8];
-  raw(buf, 8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-  return v;
-}
-
-std::size_t BinaryReader::read_size() {
-  const std::uint64_t v = read_u64();
-  if (v > static_cast<std::uint64_t>(SIZE_MAX))
-    throw SerializationError("size value exceeds platform size_t");
-  return static_cast<std::size_t>(v);
-}
-
-double BinaryReader::read_f64() {
-  expect_tag(kTagF64, "f64");
-  unsigned char buf[8];
-  raw(buf, 8);
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string BinaryReader::read_string() {
+std::string_view BinaryReader::string_body() {
   expect_tag(kTagString, "string");
   const std::size_t n = read_size();
-  if (remaining() < n) throw SerializationError("truncated string");
-  std::string s(data_.substr(pos_, n));
+  if (remaining() < n) fail("truncated string");
+  const std::string_view s = data_.substr(pos_, n);
   pos_ += n;
   return s;
 }
+
+std::string BinaryReader::read_string() { return std::string(string_body()); }
 
 std::vector<double> BinaryReader::read_f64_vec() {
   expect_tag(kTagF64Vec, "f64 vector");
   const std::size_t n = read_size();
   // Each element costs ≥ 9 bytes (tag + payload); a length that cannot fit
   // in the remaining buffer is corruption, not a huge allocation request.
-  if (remaining() / 9 < n) throw SerializationError("truncated f64 vector");
+  if (remaining() / 9 < n) fail("truncated f64 vector");
   std::vector<double> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = read_f64();
   return v;
@@ -178,18 +96,18 @@ std::vector<double> BinaryReader::read_f64_vec() {
 std::vector<std::size_t> BinaryReader::read_size_vec() {
   expect_tag(kTagSizeVec, "size vector");
   const std::size_t n = read_size();
-  if (remaining() / 9 < n) throw SerializationError("truncated size vector");
+  if (remaining() / 9 < n) fail("truncated size vector");
   std::vector<std::size_t> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = read_size();
   return v;
 }
 
-void BinaryReader::expect_section(const std::string& name) {
+void BinaryReader::expect_section(std::string_view name) {
   expect_tag(kTagSection, "section");
-  const std::string got = read_string();
+  const std::string_view got = string_body();
   if (got != name)
-    throw SerializationError("expected section '" + name + "', found '" +
-                             got + "'");
+    throw SerializationError("expected section '" + std::string(name) +
+                             "', found '" + std::string(got) + "'");
 }
 
 }  // namespace evc
