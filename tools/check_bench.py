@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over BENCH_solver.json, and the paper gate.
+"""Perf-regression gate over BENCH_solver.json, the paper gate, and the
+code-layout check for perfbench builds.
 
 Compares a fresh bench_solver_perf run against the committed baseline
 (bench/baselines/BENCH_solver.baseline.json) and fails when a watched bench
@@ -26,22 +27,33 @@ as JSON) against the golden bench/baselines/PAPER_results.json. Per cell
   (d) in Fig. 6's cell (ECE_EUDC at 35 C), the MPC's corr(motor, HVAC) is at
       most the golden's and its corr(motor, dTz/dt) at least the golden's.
 
+The layout check reads, with `nm -C`, the addresses of the code whose
+placement moves perfbench's headlines on its own: the two host-probe
+kernels (HostProbe::sample_here, WakeProbe::serve) and the sparse solver
+kernel SparseRows::gemv_t. It prints each address and the address mod 64.
+Two builds whose offsets mod 64 differ can read different end-to-end
+numbers for the same work, so record both sides' offsets beside every A/B.
+
 Usage:
   check_bench.py compare BASELINE CURRENT [--max-regression 0.10]
                  [--bench NAME ...]
   check_bench.py update BASELINE CURRENT
   check_bench.py paper GOLDEN CURRENT
+  check_bench.py layout BINARY [PARENT_BINARY]
 
 `compare` exits 1 on regression (or malformed input). `update` rewrites the
 baseline file from a current run — do this deliberately, in its own commit,
 when an intentional perf change moves the floor. `paper` exits 1 when any
 cell misses a tolerance; record a new golden only for a change that is
 meant to move the science, as `bench_paper --out X` reformatted with
-`python3 -m json.tool --indent 1`.
+`python3 -m json.tool --indent 1`. `layout` only prints for one binary;
+given two, it exits 1 when any watched offset mod 64 differs or a symbol is
+missing from either.
 """
 
 import argparse
 import json
+import subprocess
 import sys
 
 # Benches gated by default: the end-to-end hot-path measurements plus the
@@ -61,6 +73,11 @@ HVAC_SLACK_POINTS = 0.5
 MAX_ABS_ERROR_C = 0.5
 RMS_SLACK_C = 0.1
 FIG6_CELL = ("ECE_EUDC", 35.0)
+
+# The layout check's symbols (see the module docstring) and alignment.
+LAYOUT_SYMBOLS = ("HostProbe::sample_here", "WakeProbe::serve",
+                  "SparseRows::gemv_t")
+LAYOUT_ALIGN = 64
 
 
 def load_benches(path):
@@ -219,6 +236,50 @@ def cmd_paper(args):
     return 0
 
 
+def symbol_addresses(binary):
+    """Address of each watched function in `binary`; .cold clones skipped."""
+    try:
+        listing = subprocess.run(["nm", "-C", binary], check=True, text=True,
+                                 capture_output=True).stdout
+    except (OSError, subprocess.CalledProcessError) as err:
+        sys.exit(f"{binary}: nm failed: {err}")
+    found = {}
+    for line in listing.splitlines():
+        fields = line.split(maxsplit=2)
+        if len(fields) != 3 or fields[1] not in ("T", "t"):
+            continue
+        address, _, name = fields
+        for symbol in LAYOUT_SYMBOLS:
+            if ("::" + symbol + "(") in name and "[clone" not in name:
+                found.setdefault(symbol, int(address, 16))
+    return found
+
+
+def cmd_layout(args):
+    current = symbol_addresses(args.binary)
+    parent = symbol_addresses(args.parent) if args.parent else None
+    failures = 0
+    for symbol in LAYOUT_SYMBOLS:
+        line = f"{symbol:<24}"
+        for build in (current, parent) if parent is not None else (current,):
+            address = build.get(symbol)
+            line += (f"  {'not found':<22}" if address is None else
+                     f"  {address:#10x} mod {LAYOUT_ALIGN} = "
+                     f"{address % LAYOUT_ALIGN:>2}")
+        if parent is not None:
+            a, b = current.get(symbol), parent.get(symbol)
+            same = (a is not None and b is not None and
+                    a % LAYOUT_ALIGN == b % LAYOUT_ALIGN)
+            line += "  same" if same else "  DIFFERS"
+            failures += 0 if same else 1
+        print(line)
+    if failures:
+        print(f"FAIL: {failures} offset(s) mod {LAYOUT_ALIGN} differ from "
+              f"{args.parent}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -243,6 +304,12 @@ def main():
     paper.add_argument("golden")
     paper.add_argument("current")
     paper.set_defaults(fn=cmd_paper)
+
+    layout = sub.add_parser("layout", help="print (and compare) the code "
+                            "offsets perfbench's headlines depend on")
+    layout.add_argument("binary")
+    layout.add_argument("parent", nargs="?", metavar="parent_binary")
+    layout.set_defaults(fn=cmd_layout)
 
     args = parser.parse_args()
     sys.exit(args.fn(args))
