@@ -63,8 +63,6 @@ SimulationSession::SimulationSession(const EvParams& params,
 
   forecast_samples_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::round(options.forecast_horizon_s / dt_)));
-
-  cabin_trace_.reserve(n_);
 }
 
 void SimulationSession::advance() {
