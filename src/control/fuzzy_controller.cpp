@@ -3,12 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/expect.hpp"
 #include "util/serialize.hpp"
 
 namespace evc::ctl {
 
 namespace {
+
+constexpr double kErrorRangeC = 3.0;       ///< error normalization span
+constexpr double kErrorRateRangeCS = 0.1;  ///< derivative normalization span
+constexpr double kRecirculation = 0.5;     ///< fixed damper position
+/// Integral trim gain (1/(°C·s)): the fuzzy PD surface alone leaves a
+/// steady-state offset against sustained thermal loads; the paper's
+/// baseline is fuzzy *on a PID substrate*, so a slow integral term
+/// removes the offset. Anti-windup clamps the trim to ±1.
+constexpr double kIntegralGain = 0.005;
+static_assert(kErrorRangeC > 0.0, "error range must be positive");
+static_assert(kErrorRateRangeCS > 0.0, "error rate range must be positive");
 
 /// Five symmetric triangular sets NB, NS, ZE, PS, PB over [−1, 1].
 std::vector<MembershipFunction> five_sets() {
@@ -38,12 +48,8 @@ std::vector<FuzzyRule> pd_rule_base() {
 
 }  // namespace
 
-FuzzyController::FuzzyController(hvac::HvacParams params, FuzzyOptions options)
-    : params_(params), options_(options) {
+FuzzyController::FuzzyController(hvac::HvacParams params) : params_(params) {
   params_.validate();
-  EVC_EXPECT(options_.error_range_c > 0.0, "error range must be positive");
-  EVC_EXPECT(options_.error_rate_range_c_s > 0.0,
-             "error rate range must be positive");
   std::vector<LinguisticVariable> inputs{
       LinguisticVariable("error", five_sets()),
       LinguisticVariable("error_rate", five_sets()),
@@ -54,9 +60,8 @@ FuzzyController::FuzzyController(hvac::HvacParams params, FuzzyOptions options)
 }
 
 double FuzzyController::command(double error_c, double error_rate_c_s) const {
-  const double e = std::clamp(error_c / options_.error_range_c, -1.0, 1.0);
-  const double de =
-      std::clamp(error_rate_c_s / options_.error_rate_range_c_s, -1.0, 1.0);
+  const double e = std::clamp(error_c / kErrorRangeC, -1.0, 1.0);
+  const double de = std::clamp(error_rate_c_s / kErrorRateRangeCS, -1.0, 1.0);
   return std::clamp(inference_->infer({e, de}), -1.0, 1.0);
 }
 
@@ -70,13 +75,12 @@ hvac::HvacInputs FuzzyController::decide(const ControlContext& context) {
   // Slow integral trim removes the PD surface's steady-state offset
   // (negative error integral commands heating, positive cooling).
   integral_trim_ = std::clamp(
-      integral_trim_ - options_.integral_gain * error * context.dt_s, -1.0,
-      1.0);
+      integral_trim_ - kIntegralGain * error * context.dt_s, -1.0, 1.0);
   const double u = std::clamp(command(error, rate) + integral_trim_, -1.0,
                               1.0);
 
   hvac::HvacInputs in;
-  in.recirculation = options_.recirculation;
+  in.recirculation = kRecirculation;
   const double tm = (1.0 - in.recirculation) * context.outside_temp_c +
                     in.recirculation * context.cabin_temp_c;
   // Demand-scheduled flow: idle ventilation near zero command, full flow at

@@ -17,20 +17,9 @@
 
 namespace evc::ctl {
 
-struct FuzzyOptions {
-  double error_range_c = 3.0;        ///< error normalization span
-  double error_rate_range_c_s = 0.1; ///< derivative normalization span
-  double recirculation = 0.5;        ///< fixed damper position
-  /// Integral trim gain (1/(°C·s)): the fuzzy PD surface alone leaves a
-  /// steady-state offset against sustained thermal loads; the paper's
-  /// baseline is fuzzy *on a PID substrate*, so a slow integral term
-  /// removes the offset. Anti-windup clamps the trim to ±1.
-  double integral_gain = 0.005;
-};
-
 class FuzzyController : public ClimateController {
  public:
-  FuzzyController(hvac::HvacParams params, FuzzyOptions options = {});
+  explicit FuzzyController(hvac::HvacParams params);
 
   std::string name() const override { return "Fuzzy"; }
   hvac::HvacInputs decide(const ControlContext& context) override;
@@ -44,7 +33,6 @@ class FuzzyController : public ClimateController {
 
  private:
   hvac::HvacParams params_;
-  FuzzyOptions options_;
   std::unique_ptr<FuzzyInference> inference_;
   double prev_error_ = 0.0;
   bool has_prev_ = false;

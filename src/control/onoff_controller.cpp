@@ -1,14 +1,19 @@
 #include "control/onoff_controller.hpp"
 
-#include "util/expect.hpp"
 #include "util/serialize.hpp"
 
 namespace evc::ctl {
 
-OnOffController::OnOffController(hvac::HvacParams params, OnOffOptions options)
-    : params_(params), options_(options) {
+namespace {
+
+constexpr double kDeadbandC = 1.5;     ///< half-width of the hysteresis band
+constexpr double kRecirculation = 0.5; ///< fixed damper position while running
+static_assert(kDeadbandC > 0.0, "deadband must be positive");
+
+}  // namespace
+
+OnOffController::OnOffController(hvac::HvacParams params) : params_(params) {
   params_.validate();
-  EVC_EXPECT(options_.deadband_c > 0.0, "deadband must be positive");
 }
 
 hvac::HvacInputs OnOffController::decide(const ControlContext& context) {
@@ -19,9 +24,9 @@ hvac::HvacInputs OnOffController::decide(const ControlContext& context) {
   // the temperature crosses the target coming back.
   switch (mode_) {
     case Mode::kOff:
-      if (tz > target + options_.deadband_c)
+      if (tz > target + kDeadbandC)
         mode_ = Mode::kCooling;
-      else if (tz < target - options_.deadband_c)
+      else if (tz < target - kDeadbandC)
         mode_ = Mode::kHeating;
       break;
     case Mode::kCooling:
@@ -33,7 +38,7 @@ hvac::HvacInputs OnOffController::decide(const ControlContext& context) {
   }
 
   hvac::HvacInputs in;
-  in.recirculation = options_.recirculation;
+  in.recirculation = kRecirculation;
   const double tm = (1.0 - in.recirculation) * context.outside_temp_c +
                     in.recirculation * tz;
   switch (mode_) {

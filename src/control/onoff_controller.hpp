@@ -14,14 +14,9 @@
 
 namespace evc::ctl {
 
-struct OnOffOptions {
-  double deadband_c = 1.5;      ///< half-width of the hysteresis band
-  double recirculation = 0.5;   ///< fixed damper position while running
-};
-
 class OnOffController : public ClimateController {
  public:
-  OnOffController(hvac::HvacParams params, OnOffOptions options = {});
+  explicit OnOffController(hvac::HvacParams params);
 
   std::string name() const override { return "On/Off"; }
   hvac::HvacInputs decide(const ControlContext& context) override;
@@ -33,7 +28,6 @@ class OnOffController : public ClimateController {
   enum class Mode { kOff, kCooling, kHeating };
 
   hvac::HvacParams params_;
-  OnOffOptions options_;
   Mode mode_ = Mode::kOff;
 };
 

@@ -14,6 +14,12 @@ namespace evc::ctl {
 
 namespace {
 
+/// Plausibility range for temperature sensors (°C); values outside are
+/// clamped and counted.
+constexpr double kMinTempC = -60.0;
+constexpr double kMaxTempC = 90.0;
+static_assert(kMinTempC < kMaxTempC, "sanitation temperature range is empty");
+
 /// Repair one scalar: non-finite → fallback; out of [lo, hi] → clamp.
 /// Returns true when the value was rewritten.
 bool repair(double& value, double fallback, double lo, double hi) {
@@ -40,8 +46,6 @@ SupervisedController::SupervisedController(
     EVC_EXPECT(tier != nullptr, "supervisor tier must not be null");
   EVC_EXPECT(options_.promote_after >= 1,
              "promotion hysteresis must be at least one step");
-  EVC_EXPECT(options_.min_temp_c < options_.max_temp_c,
-             "sanitation temperature range is empty");
   EVC_EXPECT(options_.step_deadline_s >= 0.0,
              "step deadline must be >= 0");
   stats_.tier_steps.assign(num_tiers(), 0);
@@ -98,10 +102,8 @@ ControlContext SupervisedController::sanitize(const ControlContext& context) {
   const bool cabin_finite = std::isfinite(clean.cabin_temp_c);
   const bool outside_finite = std::isfinite(clean.outside_temp_c);
   const bool soc_finite = std::isfinite(clean.soc_percent);
-  repaired += repair(clean.cabin_temp_c, cabin_fb, options_.min_temp_c,
-                     options_.max_temp_c);
-  repaired += repair(clean.outside_temp_c, outside_fb, options_.min_temp_c,
-                     options_.max_temp_c);
+  repaired += repair(clean.cabin_temp_c, cabin_fb, kMinTempC, kMaxTempC);
+  repaired += repair(clean.outside_temp_c, outside_fb, kMinTempC, kMaxTempC);
   repaired += repair(clean.soc_percent, soc_fb, 0.0, 100.0);
 
   // Hold aging for the max_hold_steps escalation: only a silent sensor
@@ -130,8 +132,7 @@ ControlContext SupervisedController::sanitize(const ControlContext& context) {
       ++repaired;
     }
   for (double& temp : clean.outside_temp_forecast_c)
-    repaired += repair(temp, clean.outside_temp_c, options_.min_temp_c,
-                       options_.max_temp_c);
+    repaired += repair(temp, clean.outside_temp_c, kMinTempC, kMaxTempC);
 
   have_last_good_ = true;
   last_good_cabin_c_ = clean.cabin_temp_c;
@@ -162,10 +163,9 @@ bool SupervisedController::output_ok(const hvac::HvacInputs& in) const {
       in.recirculation > params_.max_recirculation + kEps)
     return false;
   if (in.supply_temp_c > params_.max_supply_temp_c + kEps ||
-      in.supply_temp_c < options_.min_temp_c)
+      in.supply_temp_c < kMinTempC)
     return false;
-  if (in.coil_temp_c < options_.min_temp_c ||
-      in.coil_temp_c > options_.max_temp_c)
+  if (in.coil_temp_c < kMinTempC || in.coil_temp_c > kMaxTempC)
     return false;
   return true;
 }
@@ -276,11 +276,10 @@ hvac::HvacInputs SupervisedController::decide(const ControlContext& context) {
              params_.max_air_flow_kg_s, safe.air_flow_kg_s);
     output.recirculation = pick(output.recirculation, 0.0,
                                 params_.max_recirculation, safe.recirculation);
-    output.supply_temp_c =
-        pick(output.supply_temp_c, options_.min_temp_c,
-             params_.max_supply_temp_c, safe.supply_temp_c);
+    output.supply_temp_c = pick(output.supply_temp_c, kMinTempC,
+                                params_.max_supply_temp_c, safe.supply_temp_c);
     output.coil_temp_c = pick(output.coil_temp_c, params_.min_coil_temp_c,
-                              options_.max_temp_c, safe.coil_temp_c);
+                              kMaxTempC, safe.coil_temp_c);
   }
 
   // Tier bookkeeping: demote immediately to whichever tier actually
@@ -424,11 +423,9 @@ void SupervisedController::fill_flight_record(
 }
 
 PidClimateController::PidClimateController(hvac::HvacParams params)
-    : PidClimateController(params, PidGains{0.6, 0.02, 0.0, -1.0, 1.0}) {}
-
-PidClimateController::PidClimateController(hvac::HvacParams params,
-                                           PidGains gains)
-    : params_(params), pid_(gains) {
+    : params_(params),
+      pid_(PidGains{.kp = 0.6, .ki = 0.02, .kd = 0.0, .output_min = -1.0,
+                    .output_max = 1.0}) {
   params_.validate();
 }
 

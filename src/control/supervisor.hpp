@@ -43,10 +43,6 @@ struct SupervisorOptions {
   /// Consecutive healthy steps at a degraded tier before the tier above is
   /// probed again (recovery hysteresis; ≥ 1).
   std::size_t promote_after = 8;
-  /// Plausibility range for temperature sensors (°C); values outside are
-  /// clamped and counted.
-  double min_temp_c = -60.0;
-  double max_temp_c = 90.0;
   /// Consecutive steps a sensor may ride the last-good-value hold before
   /// the supervisor escalates to the safe-hold tier: a hold that old tracks
   /// nothing, so acting on it through any controller is guesswork. 0
@@ -171,7 +167,6 @@ class SupervisedController : public ClimateController {
 class PidClimateController : public ClimateController {
  public:
   explicit PidClimateController(hvac::HvacParams params);
-  PidClimateController(hvac::HvacParams params, PidGains gains);
 
   std::string name() const override { return "PID fallback"; }
   hvac::HvacInputs decide(const ControlContext& context) override;

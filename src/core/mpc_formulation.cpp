@@ -110,26 +110,6 @@ void MpcFormulation::build_cost() {
     gradient_const_[idx_.slack(k)] += weights_.comfort_slack;
   }
 
-  // Actuator-rate penalty Σ‖i_{k+1} − i_k‖²_W: tridiagonal blocks per
-  // input channel. Per-channel scales put temperatures (K), damper
-  // fraction, and flow (kg/s) on comparable footing.
-  if (weights_.input_rate > 0.0 && horizon >= 2) {
-    const double channel_scale[4] = {1.0, 1.0, 100.0, 1600.0};
-    for (std::size_t k = 0; k + 1 < horizon; ++k) {
-      const std::size_t a[4] = {idx_.ts(k), idx_.tc(k), idx_.dr(k),
-                                idx_.mz(k)};
-      const std::size_t b[4] = {idx_.ts(k + 1), idx_.tc(k + 1),
-                                idx_.dr(k + 1), idx_.mz(k + 1)};
-      for (int ch = 0; ch < 4; ++ch) {
-        const double w = 2.0 * weights_.input_rate * channel_scale[ch];
-        hessian_(a[ch], a[ch]) += w;
-        hessian_(b[ch], b[ch]) += w;
-        hessian_(a[ch], b[ch]) -= w;
-        hessian_(b[ch], a[ch]) -= w;
-      }
-    }
-  }
-
   const std::size_t m = horizon + 1;
   if (window_.soc_reference.has_value()) {
     // Paper's literal Eq. 21 form: w2·Σ(SoC_k − SoCavg)² against the

@@ -78,12 +78,6 @@ struct MpcWeights {
   /// Linear penalty per K of comfort-zone violation per step; large enough
   /// that slack is only used when the zone is physically unreachable.
   double comfort_slack = 50.0;
-  /// Actuator-rate penalty on consecutive inputs Σ‖i_{k+1} − i_k‖²_W
-  /// (production MPC practice: damper/valve wear and acoustic comfort).
-  /// 0 disables it — the paper's cost has no such term. Channels are
-  /// internally rescaled so a 1 K supply-temperature swing, a 0.1 damper
-  /// swing and a 0.025 kg/s flow swing cost comparably.
-  double input_rate = 0.0;
 };
 
 /// Per-window boundary data.

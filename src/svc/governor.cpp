@@ -13,11 +13,6 @@ LoadGovernor::LoadGovernor(GovernorOptions options) : options_(options) {
                "governor min_samples exceeds its window: it would never act");
     EVC_EXPECT(options_.evaluate_every >= 1,
                "governor evaluate_every must be >= 1");
-    EVC_EXPECT(options_.promote_watermark < options_.demote_watermark,
-               "governor watermarks leave no hysteresis band");
-    EVC_EXPECT(options_.demote_watermark > 0.0 &&
-                   options_.promote_watermark > 0.0,
-               "governor watermarks must be positive");
     hot_.ring.assign(options_.window, 0);
     warm_.ring.assign(options_.window, 0);
   }
@@ -26,9 +21,8 @@ LoadGovernor::LoadGovernor(GovernorOptions options) : options_(options) {
 void LoadGovernor::observe_s(double step_latency_s) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  hot_.push(step_latency_s >= options_.demote_watermark * options_.slo_p99_s);
-  warm_.push(step_latency_s >
-             options_.promote_watermark * options_.slo_p99_s);
+  hot_.push(step_latency_s >= kDemoteWatermark * options_.slo_p99_s);
+  warm_.push(step_latency_s > kPromoteWatermark * options_.slo_p99_s);
   ++stats_.samples;
   ++since_change_;
   if (++since_eval_ >= options_.evaluate_every) {

@@ -8,9 +8,9 @@
 // currently willing to run — that the per-request scheduler feeds into
 // ctl::SupervisedController::set_tier_floor().
 //
-//   demote:  p99 ≥ demote_watermark · SLO  → floor += 1 (toward cheaper
+//   demote:  p99 ≥ kDemoteWatermark · SLO  → floor += 1 (toward cheaper
 //            tiers), immediately re-evaluated only after fresh samples;
-//   promote: p99 ≤ promote_watermark · SLO *and* at least promote_hold
+//   promote: p99 ≤ kPromoteWatermark · SLO *and* at least promote_hold
 //            samples since the last change → floor −= 1.
 //
 // The p99 is the nearest-rank one over the window, but it is never
@@ -35,13 +35,18 @@
 
 namespace evc::svc {
 
+/// Demote when p99 ≥ kDemoteWatermark · slo_p99_s.
+inline constexpr double kDemoteWatermark = 0.90;
+/// Promote only when p99 ≤ kPromoteWatermark · slo_p99_s.
+inline constexpr double kPromoteWatermark = 0.60;
+static_assert(kPromoteWatermark < kDemoteWatermark,
+              "governor watermarks leave no hysteresis band");
+static_assert(kDemoteWatermark > 0.0 && kPromoteWatermark > 0.0,
+              "governor watermarks must be positive");
+
 struct GovernorOptions {
   /// Step-latency SLO the p99 is held against (s). 0 disables the governor.
   double slo_p99_s = 0.0;
-  /// Demote when p99 ≥ demote_watermark · slo_p99_s.
-  double demote_watermark = 0.90;
-  /// Promote only when p99 ≤ promote_watermark · slo_p99_s (< demote).
-  double promote_watermark = 0.60;
   /// Sliding window of step-latency samples the p99 is taken over.
   std::size_t window = 512;
   /// No verdicts before this many samples exist (cold-start guard); at
@@ -94,8 +99,8 @@ class LoadGovernor {
   std::atomic<std::size_t> floor_{0};
 
   mutable std::mutex mutex_;
-  obs::SloWindow hot_;   ///< marks samples ≥ demote_watermark · slo_p99_s
-  obs::SloWindow warm_;  ///< marks samples > promote_watermark · slo_p99_s
+  obs::SloWindow hot_;   ///< marks samples ≥ kDemoteWatermark · slo_p99_s
+  obs::SloWindow warm_;  ///< marks samples > kPromoteWatermark · slo_p99_s
   std::size_t since_eval_ = 0;
   std::size_t since_change_ = 0;
   GovernorStats stats_;

@@ -1,14 +1,11 @@
 // Targeted tests for the integrated EV model and extra property sweeps
-// (closed-loop comfort grids for the reactive controllers, MPC input-rate
-// penalty).
+// (closed-loop comfort grids for the reactive controllers).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <tuple>
 
 #include "core/ev_model.hpp"
 #include "core/experiment.hpp"
-#include "core/mpc_formulation.hpp"
 #include "core/simulation.hpp"
 #include "drivecycle/standard_cycles.hpp"
 
@@ -122,56 +119,6 @@ INSTANTIATE_TEST_SUITE_P(
       return drive::cycle_name(std::get<0>(suite_info.param)) + "_" +
              std::to_string(static_cast<int>(std::get<1>(suite_info.param))) + "C";
     });
-
-// --- Input-rate penalty ---
-
-TEST(InputRatePenalty, PenalizesConsecutiveInputDifferences) {
-  MpcWindowData w;
-  w.dt_s = 5.0;
-  w.initial_cabin_temp_c = 24.0;
-  w.initial_soc_percent = 90.0;
-  w.fixed_power_kw.assign(4, 5.0);
-  w.outside_temp_c.assign(4, 30.0);
-  MpcWeights weights;
-  weights.input_rate = 0.5;
-  MpcFormulation f(hvac::default_hvac_params(), bat::leaf_24kwh_params(),
-                   weights, w);
-  const MpcIndex& idx = f.index();
-  num::Vector z = f.cold_start();
-  const double c0 = f.cost(z);
-  // A supply-temperature step between k=1 and k=2 must raise the cost by
-  // exactly one 5 K jump's worth: ½·(2·w2_rate)·ΔT² = 0.5·1·25 = 12.5
-  // (the k=2→3 pair shifts together, so only one pair changes).
-  z[idx.ts(2)] += 5.0;
-  z[idx.ts(3)] += 5.0;
-  const double c_step = f.cost(z);
-  EXPECT_NEAR(c_step - c0, 12.5, 1e-6);
-  // Hessian stays PSD with the tridiagonal term.
-  const num::Matrix h = f.cost_hessian(z);
-  num::Vector v(h.rows(), 1.0);
-  EXPECT_GE(v.dot(h * v), -1e-9);
-}
-
-TEST(InputRatePenalty, SmoothsClosedLoopActuation) {
-  const EvParams params;
-  const auto profile = drive::make_cycle_profile(
-      drive::StandardCycle::kEceEudc, 35.0).window(0, 300);
-  ClimateSimulation sim(params);
-  SimulationOptions opts;
-
-  const auto actuation_roughness = [&](double rate_weight) {
-    MpcOptions mpc_opts;
-    mpc_opts.weights.input_rate = rate_weight;
-    auto mpc = make_mpc_controller(params, mpc_opts);
-    const auto result = sim.run(*mpc, profile, opts);
-    const auto& hvac_power = result.recorder.values("hvac_power_w");
-    double acc = 0.0;
-    for (std::size_t i = 1; i < hvac_power.size(); ++i)
-      acc += std::abs(hvac_power[i] - hvac_power[i - 1]);
-    return acc;
-  };
-  EXPECT_LT(actuation_roughness(0.3), actuation_roughness(0.0) * 1.001);
-}
 
 }  // namespace
 }  // namespace evc::core

@@ -126,16 +126,12 @@ TEST(MpcFormulation, CostGradientMatchesFiniteDifferences) {
 TEST(MpcFormulation, CostMatchesDenseProductBitForBit) {
   // cost() and cost_gradient() form H·z from H's nonzeros. On finite points
   // that must reproduce the dense 0.5·z·(H·z) + g·z and H·z + g bit for
-  // bit, for each shape of H: the window-variance SoC block, the
-  // actuator-rate tridiagonals, and the literal SoC-reference diagonal.
-  MpcWeights rate;
-  rate.input_rate = 0.4;
+  // bit, for each shape of H: the window-variance SoC block and the literal
+  // SoC-reference diagonal.
   MpcWindowData referenced = make_window(12);
   referenced.soc_reference = 85.0;
   const MpcFormulation forms[] = {
       make_formulation(12),
-      MpcFormulation(hvac::default_hvac_params(), bat::leaf_24kwh_params(),
-                     rate, make_window(12)),
       MpcFormulation(hvac::default_hvac_params(), bat::leaf_24kwh_params(),
                      MpcWeights{}, referenced)};
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };

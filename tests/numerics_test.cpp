@@ -1,7 +1,10 @@
 // Unit + property tests for the dense linear algebra kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "numerics/factorization.hpp"
 #include "numerics/matrix.hpp"
@@ -92,6 +95,45 @@ TEST(Matrix, SymmetrizeAveragesOffDiagonal) {
   a.symmetrize();
   EXPECT_DOUBLE_EQ(a(0, 1), 3.0);
   EXPECT_DOUBLE_EQ(a(1, 0), 3.0);
+}
+
+// --- SparseRows ---
+
+TEST(SparseRows, TimesMatchesDenseProductBitForBit) {
+  // times() adds only a row's nonzero products, in column order; the dense
+  // product also adds the exact-zero ones. For finite x both must give the
+  // same bits. Banded matrices from tridiagonal (half-bandwidth 1) to
+  // half-bandwidth 9, with zeros inside the band and ±0 entries in x.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  SplitMix64 rng(41);
+  for (const std::size_t n : {1u, 2u, 12u, 37u}) {
+    for (const std::size_t half_band : {1u, 2u, 4u, 9u}) {
+      Matrix m(n, n);
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = r > half_band ? r - half_band : 0;
+             c < std::min(n, r + half_band + 1); ++c)
+          if (rng.next_u64() % 8 != 0) m(r, c) = rng.uniform(-5.0, 5.0);
+      SparseRows rows;
+      rows.assign(m);
+      for (int trial = 0; trial < 10; ++trial) {
+        Vector x(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          switch (rng.next_u64() % 8) {
+            case 0: x[i] = 0.0; break;
+            case 1: x[i] = -0.0; break;
+            default: x[i] = rng.uniform(-5.0, 5.0);
+          }
+        }
+        const Vector dense = m * x;
+        Vector sparse(n + 1, 7.0);
+        rows.times(x, sparse);
+        ASSERT_EQ(sparse.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_EQ(bits(sparse[i]), bits(dense[i]))
+              << "n " << n << " half-bandwidth " << half_band << " row " << i;
+      }
+    }
+  }
 }
 
 // --- LU ---

@@ -200,11 +200,11 @@ class NearestRankGovernor {
                                             std::min(rank, filled_ - 1));
     std::nth_element(scratch_.begin(), nth, scratch_.end());
     const double p99 = *nth;
-    if (p99 >= options_.demote_watermark * options_.slo_p99_s &&
+    if (p99 >= svc::kDemoteWatermark * options_.slo_p99_s &&
         floor_ < options_.max_floor) {
       ++floor_;
       since_change_ = 0;
-    } else if (p99 <= options_.promote_watermark * options_.slo_p99_s &&
+    } else if (p99 <= svc::kPromoteWatermark * options_.slo_p99_s &&
                floor_ > 0 && since_change_ >= options_.promote_hold) {
       --floor_;
       since_change_ = 0;
@@ -256,9 +256,8 @@ TEST(LoadGovernor, FloorMatchesNearestRankReference) {
 
       // The thresholds exactly as the governors form them, so ties land
       // on both sides of each comparison.
-      const double demote_at = options.demote_watermark * options.slo_p99_s;
-      const double promote_at =
-          options.promote_watermark * options.slo_p99_s;
+      const double demote_at = svc::kDemoteWatermark * options.slo_p99_s;
+      const double promote_at = svc::kPromoteWatermark * options.slo_p99_s;
       // Sample kinds: 0 under the promote threshold, 1 on it, 2 inside the
       // hysteresis band, 3 on the demote threshold, 4 past it.
       const auto draw = [&](std::size_t kind) {
