@@ -256,20 +256,21 @@ def symbol_addresses(binary):
 
 
 def cmd_layout(args):
-    current = symbol_addresses(args.binary)
-    parent = symbol_addresses(args.parent) if args.parent else None
+    builds = [symbol_addresses(args.binary)]
+    if args.parent:
+        builds.append(symbol_addresses(args.parent))
     failures = 0
     for symbol in LAYOUT_SYMBOLS:
+        addresses = [build.get(symbol) for build in builds]
         line = f"{symbol:<24}"
-        for build in (current, parent) if parent is not None else (current,):
-            address = build.get(symbol)
+        for address in addresses:
             line += (f"  {'not found':<22}" if address is None else
                      f"  {address:#10x} mod {LAYOUT_ALIGN} = "
                      f"{address % LAYOUT_ALIGN:>2}")
-        if parent is not None:
-            a, b = current.get(symbol), parent.get(symbol)
-            same = (a is not None and b is not None and
-                    a % LAYOUT_ALIGN == b % LAYOUT_ALIGN)
+        if len(builds) == 2:
+            offsets = {None if a is None else a % LAYOUT_ALIGN
+                       for a in addresses}
+            same = len(offsets) == 1 and None not in offsets
             line += "  same" if same else "  DIFFERS"
             failures += 0 if same else 1
         print(line)
