@@ -149,6 +149,11 @@ void CholeskyFactorization::solve_into(const Vector& b, Vector& x) const {
   }
 }
 
+void CholeskyFactorization::solve4_in_place(double* x) const {
+  EVC_EXPECT(ok_, "solve on a failed Cholesky factorization");
+  simd::active().cholesky_solve4(l_.ptr(), l_.cols(), n_, x);
+}
+
 Vector CholeskyFactorization::solve(const Vector& b) const {
   Vector x(n_);
   solve_into(b, x);

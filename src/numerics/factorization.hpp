@@ -20,7 +20,9 @@
 // computation for finite inputs: LU stops each row update at the pivot
 // row's last nonzero, so a banded matrix costs O(n·band²); Cholesky's
 // solve_into starts its forward sweep at the right-hand side's first
-// nonzero, from that nonzero's kDotBlock-aligned block (simd_blocked.hpp).
+// nonzero, from that nonzero's kDotBlock-aligned block (simd_blocked.hpp),
+// and solve4_in_place does the same for four right-hand sides, one per
+// SIMD lane, from the block of the earliest of their first nonzeros.
 #pragma once
 
 #include <cstddef>
@@ -91,6 +93,12 @@ class CholeskyFactorization {
   /// Solve A·x = b into `x` (resized; aliasing `b` is allowed — the
   /// triangular sweeps overwrite sequentially).
   void solve_into(const Vector& b, Vector& x) const;
+  /// Solve A·x = b for four right-hand sides at once, in place: `x` holds
+  /// 4·dim() doubles, entry j of right-hand side k at x[4·j + k]. Each
+  /// solution has the bits solve_into gives it (see simd_blocked.hpp), so
+  /// a caller may group right-hand sides however it likes — those whose
+  /// first nonzeros lie close together share the shortest forward sweep.
+  void solve4_in_place(double* x) const;
   /// Factor entry L(r, c), r ≥ c — test introspection.
   double entry(std::size_t r, std::size_t c) const { return l_(r, c); }
 

@@ -23,8 +23,20 @@ struct PackAvx2 {
   static PackAvx2 add(PackAvx2 x, PackAvx2 y) {
     return {_mm256_add_pd(x.v, y.v)};
   }
+  static PackAvx2 sub(PackAvx2 x, PackAvx2 y) {
+    return {_mm256_sub_pd(x.v, y.v)};
+  }
   static PackAvx2 mul(PackAvx2 x, PackAvx2 y) {
     return {_mm256_mul_pd(x.v, y.v)};
+  }
+  static PackAvx2 div(PackAvx2 x, PackAvx2 y) {
+    return {_mm256_div_pd(x.v, y.v)};
+  }
+  static PackAvx2 where_nonzero(PackAvx2 c, PackAvx2 x, PackAvx2 y) {
+    // Unordered not-equal, so a NaN lane of c selects x.
+    const __m256d nonzero =
+        _mm256_cmp_pd(c.v, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+    return {_mm256_blendv_pd(y.v, x.v, nonzero)};
   }
   static double reduce(PackAvx2 x) {
     // low half (l0,l1) + high half (l2,l3) = (l0+l2, l1+l3), then sum the

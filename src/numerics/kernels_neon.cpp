@@ -32,8 +32,21 @@ struct PackNeon {
   static PackNeon add(PackNeon x, PackNeon y) {
     return {vaddq_f64(x.lo, y.lo), vaddq_f64(x.hi, y.hi)};
   }
+  static PackNeon sub(PackNeon x, PackNeon y) {
+    return {vsubq_f64(x.lo, y.lo), vsubq_f64(x.hi, y.hi)};
+  }
   static PackNeon mul(PackNeon x, PackNeon y) {
     return {vmulq_f64(x.lo, y.lo), vmulq_f64(x.hi, y.hi)};
+  }
+  static PackNeon div(PackNeon x, PackNeon y) {
+    return {vdivq_f64(x.lo, y.lo), vdivq_f64(x.hi, y.hi)};
+  }
+  static PackNeon where_nonzero(PackNeon c, PackNeon x, PackNeon y) {
+    // A lane equal to zero takes y; a NaN lane compares unequal and
+    // takes x.
+    const float64x2_t zero = vdupq_n_f64(0.0);
+    return {vbslq_f64(vceqq_f64(c.lo, zero), y.lo, x.lo),
+            vbslq_f64(vceqq_f64(c.hi, zero), y.hi, x.hi)};
   }
   static double reduce(PackNeon v) {
     const float64x2_t s = vaddq_f64(v.lo, v.hi);  // (l0+l2, l1+l3)

@@ -23,8 +23,18 @@ struct PackScalar {
   static PackScalar add(PackScalar x, PackScalar y) {
     return {x.l0 + y.l0, x.l1 + y.l1, x.l2 + y.l2, x.l3 + y.l3};
   }
+  static PackScalar sub(PackScalar x, PackScalar y) {
+    return {x.l0 - y.l0, x.l1 - y.l1, x.l2 - y.l2, x.l3 - y.l3};
+  }
   static PackScalar mul(PackScalar x, PackScalar y) {
     return {x.l0 * y.l0, x.l1 * y.l1, x.l2 * y.l2, x.l3 * y.l3};
+  }
+  static PackScalar div(PackScalar x, PackScalar y) {
+    return {x.l0 / y.l0, x.l1 / y.l1, x.l2 / y.l2, x.l3 / y.l3};
+  }
+  static PackScalar where_nonzero(PackScalar c, PackScalar x, PackScalar y) {
+    return {c.l0 != 0.0 ? x.l0 : y.l0, c.l1 != 0.0 ? x.l1 : y.l1,
+            c.l2 != 0.0 ? x.l2 : y.l2, c.l3 != 0.0 ? x.l3 : y.l3};
   }
   static double reduce(PackScalar v) { return (v.l0 + v.l2) + (v.l1 + v.l3); }
 };

@@ -31,8 +31,22 @@ struct PackSse2 {
   static PackSse2 add(PackSse2 x, PackSse2 y) {
     return {_mm_add_pd(x.lo, y.lo), _mm_add_pd(x.hi, y.hi)};
   }
+  static PackSse2 sub(PackSse2 x, PackSse2 y) {
+    return {_mm_sub_pd(x.lo, y.lo), _mm_sub_pd(x.hi, y.hi)};
+  }
   static PackSse2 mul(PackSse2 x, PackSse2 y) {
     return {_mm_mul_pd(x.lo, y.lo), _mm_mul_pd(x.hi, y.hi)};
+  }
+  static PackSse2 div(PackSse2 x, PackSse2 y) {
+    return {_mm_div_pd(x.lo, y.lo), _mm_div_pd(x.hi, y.hi)};
+  }
+  static PackSse2 where_nonzero(PackSse2 c, PackSse2 x, PackSse2 y) {
+    // cmpneq is unordered not-equal, so a NaN lane of c selects x.
+    const __m128d zero = _mm_setzero_pd();
+    const __m128d lo = _mm_cmpneq_pd(c.lo, zero);
+    const __m128d hi = _mm_cmpneq_pd(c.hi, zero);
+    return {_mm_or_pd(_mm_and_pd(lo, x.lo), _mm_andnot_pd(lo, y.lo)),
+            _mm_or_pd(_mm_and_pd(hi, x.hi), _mm_andnot_pd(hi, y.hi))};
   }
   static double reduce(PackSse2 v) {
     // lo+hi = (l0+l2, l1+l3); then sum the two halves in that order.

@@ -2,7 +2,8 @@
 //
 // Every dense inner loop of the solver hot path (numerics/kernels,
 // factorization) funnels through a small table of raw-pointer kernels —
-// dot / axpy / gemv — with one implementation per instruction set:
+// dot / axpy / gemv and a four-right-hand-side Cholesky solve — with one
+// implementation per instruction set:
 //
 //   * avx2    4-wide AVX2 (x86-64, detected via cpuid at startup)
 //   * sse2    2×2-wide SSE2 (x86-64 baseline)
@@ -55,6 +56,12 @@ struct KernelTable {
   /// y[i] += alpha·(A·x)[i], one blocked dot per row.
   void (*gemv)(double alpha, const double* a, std::size_t lda,
                std::size_t rows, std::size_t cols, const double* x, double* y);
+  /// L·Lᵀ·x = b for four right-hand sides at once, in place. `l` is the
+  /// n×n lower Cholesky factor (leading dimension `ld`); x[4·j + k] holds
+  /// entry j of right-hand side k. Each right-hand side gets the bits of
+  /// CholeskyFactorization::solve_into.
+  void (*cholesky_solve4)(const double* l, std::size_t ld, std::size_t n,
+                          double* x);
 };
 
 const char* to_string(Isa isa);

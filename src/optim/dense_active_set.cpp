@@ -114,30 +114,39 @@ double row_dot(const num::Matrix& a, const num::ShortRows* a_short,
 
 }  // namespace
 
-bool DenseActiveSetSolver::try_add(const num::CholeskyFactorization& h_chol,
-                                   const num::Matrix& a,
-                                   const num::ShortRows* a_short,
-                                   std::size_t idx) {
+void DenseActiveSetSolver::solve_seeds(
+    const num::CholeskyFactorization& h_chol, const num::Matrix& a,
+    const std::vector<std::size_t>& warm_active) {
   const std::size_t n = a.cols();
-  const double* a_idx = a.row_ptr(idx);
-  rhs_n_.assign(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) rhs_n_[j] = a_idx[j];
-  h_chol.solve_into(rhs_n_, hinv_new_);
-
-  const std::size_t nw = active_.size();
-  cross_.resize(std::max<std::size_t>(nw, 1));
-  for (std::size_t t = 0; t < nw; ++t)
-    cross_[t] = row_dot(a, a_short, active_[t], hinv_new_.ptr());
-  const double diag = row_dot(a, a_short, idx, hinv_new_.ptr());
-  const double tol = kSingularTolerance * std::max(std::abs(diag), 1.0);
-  if (!schur_.append(cross_.data(), diag, tol)) return false;
-
-  double* dst = hinv_rows_.row_ptr(nw);
-  for (std::size_t j = 0; j < n; ++j) dst[j] = hinv_new_[j];
-  active_.push_back(idx);
-  in_active_[idx] = 1;
-  hinv_count_ = nw + 1;
-  return true;
+  const std::size_t m = a.rows();
+  seeds_.clear();
+  for (std::size_t idx : warm_active) {
+    if (idx >= m) continue;
+    const double* row = a.row_ptr(idx);
+    std::size_t first = 0;
+    while (first < n && row[first] == 0.0) ++first;
+    seeds_.push_back({first, seeds_.size(), idx});
+  }
+  seed_hinv_.resize(seeds_.size(), n);
+  // Rows whose first nonzeros lie close together share the shortest
+  // forward sweep; a solution's bits do not depend on its group.
+  std::sort(seeds_.begin(), seeds_.end(), [](const Seed& x, const Seed& y) {
+    return x.first != y.first ? x.first < y.first : x.slot < y.slot;
+  });
+  seed_x_.resize(4 * n);
+  for (std::size_t g = 0; g < seeds_.size(); g += 4) {
+    const std::size_t lanes = std::min<std::size_t>(4, seeds_.size() - g);
+    std::fill(seed_x_.begin(), seed_x_.end(), 0.0);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const double* row = a.row_ptr(seeds_[g + k].row);
+      for (std::size_t j = 0; j < n; ++j) seed_x_[4 * j + k] = row[j];
+    }
+    h_chol.solve4_in_place(seed_x_.data());
+    for (std::size_t k = 0; k < lanes; ++k) {
+      double* dst = seed_hinv_.row_ptr(seeds_[g + k].slot);
+      for (std::size_t j = 0; j < n; ++j) dst[j] = seed_x_[4 * j + k];
+    }
+  }
 }
 
 void DenseActiveSetSolver::remove_at(std::size_t pos) {
@@ -187,18 +196,35 @@ DenseActiveSetOutput DenseActiveSetSolver::solve(
   for (std::size_t j = 0; j < n; ++j) neg_g_[j] = -g[j];
   h_chol.solve_into(neg_g_, w_);
 
-  // Seed the working set. An index whose Schur append fails (numerically
-  // dependent on rows already seeded) is simply skipped — if it really is
-  // active, the dual loop re-adds it once a dependency has been dropped.
+  // Seed the working set: H⁻¹a for every candidate row first, four
+  // right-hand sides per solve, then the Schur appends in the given order.
+  // An index whose append fails (numerically dependent on rows already
+  // seeded) is simply skipped — if it really is active, the dual loop
+  // re-adds it once a dependency has been dropped.
   active_.clear();
   schur_.reset();
   hinv_count_ = 0;
   in_active_.assign(m, 0);
   ensure_hinv_rows(cap, n);
+  solve_seeds(h_chol, a, warm_active);
+  std::size_t slot = 0;
   for (std::size_t idx : warm_active) {
-    if (idx >= m || in_active_[idx] != 0) continue;
+    if (idx >= m) continue;
+    const double* hinv_a = seed_hinv_.row_ptr(slot++);
+    if (in_active_[idx] != 0) continue;
     if (active_.size() >= cap) break;
-    try_add(h_chol, a, a_short, idx);
+    const std::size_t nw = active_.size();
+    cross_.resize(std::max<std::size_t>(nw, 1));
+    for (std::size_t t = 0; t < nw; ++t)
+      cross_[t] = row_dot(a, a_short, active_[t], hinv_a);
+    const double diag = row_dot(a, a_short, idx, hinv_a);
+    const double tol = kSingularTolerance * std::max(std::abs(diag), 1.0);
+    if (!schur_.append(cross_.data(), diag, tol)) continue;
+    double* dst = hinv_rows_.row_ptr(nw);
+    for (std::size_t j = 0; j < n; ++j) dst[j] = hinv_a[j];
+    active_.push_back(idx);
+    in_active_[idx] = 1;
+    hinv_count_ = nw + 1;
   }
 
   // Phase 0 — prune the seed down to a dual-feasible working set: solve the
@@ -394,7 +420,8 @@ std::size_t DenseActiveSetSolver::bytes() const {
              sizeof(double) +
          (lam_w_.capacity() + r_w_.capacity() + cross_.capacity()) *
              sizeof(double) +
-         in_active_.capacity() +
+         (seed_hinv_.capacity() + seed_x_.capacity()) * sizeof(double) +
+         seeds_.capacity() * sizeof(Seed) + in_active_.capacity() +
          (active_.capacity() + to_remove_.capacity()) * sizeof(std::size_t);
 }
 

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -258,6 +260,46 @@ TEST(DenseActiveSetTest, WarmStartConfirmsInOneSweep) {
   // from the cold path's add order — same set, permuted factor, so agree to
   // tight tolerance rather than bitwise.
   for (std::size_t j = 0; j < n; ++j) EXPECT_NEAR(v2[j], v[j], 1e-12);
+}
+
+TEST(DenseActiveSetTest, DependentSeedRowIsSkippedBitForBit) {
+  // The seeds are solved four at a time before any is appended; a row
+  // dependent on the seeds before it must still be skipped, and seeding
+  // must still stop at min(m, n) rows. Row 13 = 2·row 2 − row 5, and both
+  // lists hold more in-range candidates than n = 6 (and one out of range),
+  // so the list with row 13 must give the bits of the list without it.
+  const std::size_t n = 6, m = 14;
+  auto qp = random_dense_qp(n, m, 23, 0.1, 1.5);
+  for (std::size_t c = 0; c < n; ++c)
+    qp.a(13, c) = 2.0 * qp.a(2, c) - qp.a(5, c);
+  qp.b[13] = 0.5;
+  num::CholeskyFactorization h_chol;
+  ASSERT_TRUE(h_chol.factorize(qp.h));
+  const std::vector<std::size_t> with_dependent = {2, 5, 13, 0, 99, 7, 9,
+                                                   11, 3, 8};
+  const std::vector<std::size_t> without = {2, 5, 0, 99, 7, 9, 11, 3, 8};
+
+  opt::DenseActiveSetSolver solver_a, solver_b;
+  num::Vector v_a, lambda_a, v_b, lambda_b;
+  const auto out_a = solver_a.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b,
+                                    with_dependent, v_a, lambda_a);
+  const auto out_b = solver_b.solve(h_chol, qp.h, qp.a, nullptr, qp.g, qp.b,
+                                    without, v_b, lambda_b);
+  ASSERT_TRUE(out_a.usable());
+  ASSERT_TRUE(out_b.usable());
+  EXPECT_EQ(out_a.iterations, out_b.iterations);
+  EXPECT_EQ(out_a.set_changes, out_b.set_changes);
+  EXPECT_EQ(solver_a.active_set(), solver_b.active_set());
+  ASSERT_EQ(v_a.size(), v_b.size());
+  for (std::size_t j = 0; j < n; ++j)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v_a[j]),
+              std::bit_cast<std::uint64_t>(v_b[j]))
+        << "v[" << j << "]";
+  ASSERT_EQ(lambda_a.size(), lambda_b.size());
+  for (std::size_t i = 0; i < m; ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lambda_a[i]),
+              std::bit_cast<std::uint64_t>(lambda_b[i]))
+        << "lambda[" << i << "]";
 }
 
 TEST(DenseActiveSetTest, UnconstrainedWhenNoRowBinds) {

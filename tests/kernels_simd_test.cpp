@@ -255,6 +255,62 @@ TEST_P(SimdTargetTest, CholeskyZeroPrefixSolveMatchesFullRowDotSolve) {
   }
 }
 
+TEST_P(SimdTargetTest, CholeskySolve4MatchesSolveIntoBitwise) {
+  // cholesky_solve4 solves four interleaved right-hand sides, one per
+  // lane, from the block holding the group's earliest first nonzero, and
+  // must return each one solve_into's bits. Lanes get their own first
+  // nonzero (an all-zero lane included), ±0 entries before and after it,
+  // and a block-diagonal factor so that nonzero lanes meet exact zeros in
+  // the backward sweep too.
+  const KernelTable& tbl = table();
+  SplitMix64 rng(29);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 17; ++n) sizes.push_back(n);
+  for (const std::size_t n : {59u, 60u, 61u}) sizes.push_back(n);
+  for (const std::size_t n : sizes)
+    for (const bool block_diagonal : {false, true}) {
+      num::Matrix a = random_spd(rng, n);
+      if (block_diagonal)
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < n; ++j)
+            if ((2 * i < n) != (2 * j < n)) a(i, j) = 0.0;
+      num::CholeskyFactorization chol;
+      ASSERT_TRUE(chol.factorize(a)) << "n=" << n;
+      num::Matrix l(n, n);
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c <= r; ++c) l(r, c) = chol.entry(r, c);
+      for (int trial = 0; trial < 12; ++trial) {
+        std::vector<num::Vector> rhs(4, num::Vector(n));
+        for (std::size_t k = 0; k < 4; ++k) {
+          // Trial 0 has an all-zero lane, trial 1 four of them.
+          std::size_t first = rng.next_u64() % (n + 1);
+          if ((trial == 0 && k == 2) || trial == 1) first = n;
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t draw = rng.next_u64() % 5;
+            if (i < first)
+              rhs[k][i] = draw < 2 ? -0.0 : 0.0;
+            else if (i == first || draw > 0)
+              rhs[k][i] = random_nonzero(rng);
+            else
+              rhs[k][i] = rng.next_u64() % 2 == 0 ? -0.0 : 0.0;
+          }
+        }
+        std::vector<double> x(4 * n);
+        for (std::size_t k = 0; k < 4; ++k)
+          for (std::size_t i = 0; i < n; ++i) x[4 * i + k] = rhs[k][i];
+        tbl.cholesky_solve4(l.ptr(), n, n, x.data());
+        for (std::size_t k = 0; k < 4; ++k) {
+          num::Vector ref;
+          chol.solve_into(rhs[k], ref);
+          for (std::size_t i = 0; i < n; ++i)
+            EXPECT_BITEQ(x[4 * i + k], ref[i])
+                << "n=" << n << " block=" << block_diagonal
+                << " trial=" << trial << " lane=" << k << " i=" << i;
+        }
+      }
+    }
+}
+
 /// PLU with partial pivoting whose every trailing-row update runs to the
 /// end of the row, on one target.
 struct FullLu {
