@@ -12,15 +12,31 @@
 
 namespace evc::core {
 
+namespace {
+
+// The fixed part of every window (step, SoC reference, battery model and
+// horizon), with the initial state and forecast still to fill in.
+MpcWindowData window_template(const MpcOptions& options) {
+  MpcWindowData window;
+  window.dt_s = options.step_s;
+  window.soc_reference = options.soc_reference;
+  window.nonlinear_battery = options.nonlinear_battery;
+  window.fixed_power_kw.resize(options.horizon);
+  window.outside_temp_c.resize(options.horizon);
+  return window;
+}
+
+}  // namespace
+
+// The formulation validates the parameters, the step and the weights.
 MpcClimateController::MpcClimateController(hvac::HvacParams hvac_params,
                                            bat::BatteryParams battery_params,
                                            MpcOptions options)
     : hvac_(hvac_params), battery_(battery_params), options_(options),
-      solver_(options.sqp) {
-  hvac_.validate();
-  battery_.validate();
+      solver_(options.sqp),
+      formulation_(hvac_params, battery_params, options.weights,
+                   window_template(options)) {
   EVC_EXPECT(options_.horizon >= 2, "MPC horizon must be at least 2 steps");
-  EVC_EXPECT(options_.step_s > 0.0, "MPC step must be positive");
 }
 
 void MpcClimateController::reset() {
@@ -62,14 +78,9 @@ ctl::DecisionHealth MpcClimateController::last_health() const {
 
 MpcWindowData MpcClimateController::make_window(
     const ctl::ControlContext& context) const {
-  MpcWindowData window;
-  window.dt_s = options_.step_s;
+  MpcWindowData window = window_template(options_);
   window.initial_cabin_temp_c = context.cabin_temp_c;
   window.initial_soc_percent = context.soc_percent;
-  window.soc_reference = options_.soc_reference;
-  window.nonlinear_battery = options_.nonlinear_battery;
-  window.fixed_power_kw.resize(options_.horizon);
-  window.outside_temp_c.resize(options_.horizon);
 
   // Bin the per-sample forecast into MPC steps, padding past its end with
   // the last known value (near the trip's end the horizon outlives the
@@ -126,9 +137,8 @@ std::vector<std::size_t> shift_working_set(
 
 MpcWarmStart MpcClimateController::warm_start(
     const MpcFormulation& formulation) const {
-  const num::Vector cold = formulation.cold_start();
-  if (!last_solution_ || last_solution_->size() != cold.size())
-    return {cold, std::nullopt};
+  if (!last_solution_ || last_solution_->size() != formulation.num_vars())
+    return {formulation.cold_start(), std::nullopt};
 
   const MpcIndex& idx = formulation.index();
   const std::size_t n = idx.horizon();
@@ -217,9 +227,8 @@ hvac::HvacInputs MpcClimateController::decide(
       obs::MetricsRegistry::global().counter("mpc.condensed.rebuilds"),
       obs::MetricsRegistry::global().counter("mpc.condensed.active_set_changes")};
 
-  const MpcWindowData window = make_window(context);
-  MpcFormulation formulation(hvac_, battery_, options_.weights, window);
-  const MpcWarmStart seed = warm_start(formulation);
+  formulation_.set_window(make_window(context));
+  const MpcWarmStart seed = warm_start(formulation_);
 
   ++stats_.plans;
   // The previous plan's working set, aligned with the primal seed, seeds the
@@ -229,7 +238,8 @@ hvac::HvacInputs MpcClimateController::decide(
       seed.active_ineq ? &*seed.active_ineq : nullptr;
   if (warm_active != nullptr) ++stats_.dual_warm_starts;
   const auto t0 = std::chrono::steady_clock::now();
-  const opt::SqpResult result = solver_.solve(formulation, seed.x, warm_active);
+  const opt::SqpResult result =
+      solver_.solve(formulation_, seed.x, warm_active);
   const auto t1 = std::chrono::steady_clock::now();
   last_step_solve_ns_ = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
@@ -281,7 +291,7 @@ hvac::HvacInputs MpcClimateController::decide(
       break;
   }
 
-  const MpcIndex& idx = formulation.index();
+  const MpcIndex& idx = formulation_.index();
   bool accept = status != opt::SolveStatus::kNumericalFailure &&
                 result.constraint_violation < 0.5;
   if (accept) {

@@ -3,7 +3,9 @@
 // Each planning instant the controller:
 //   1. bins the motor-power/ambient forecast from the drive profile into
 //      the MPC's coarser step (Algorithm 1 lines 14–15),
-//   2. assembles the bilinear optimal-control problem (MpcFormulation),
+//   2. sets the bilinear optimal-control problem's initial state and
+//      forecast (MpcFormulation::set_window; the cost, the constraints and
+//      the condensing plan are built once, with the controller),
 //   3. solves it with SQP, warm-started from the previous plan shifted by
 //      one step (line 16) and from the previous plan's final QP working
 //      set, shifted by the same stage (the constraint structure is
@@ -145,6 +147,9 @@ class MpcClimateController : public ctl::ClimateController {
   bat::BatteryParams battery_;
   MpcOptions options_;
   opt::SqpSolver solver_;
+  /// The control window, built once: each plan replaces only its initial
+  /// state and forecast, so the solver keeps its copy of the fixed part.
+  MpcFormulation formulation_;
 
   std::optional<num::Vector> last_solution_;
   std::vector<std::size_t> last_working_set_;

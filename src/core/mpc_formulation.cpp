@@ -89,6 +89,17 @@ MpcFormulation::MpcFormulation(hvac::HvacParams hvac_params,
   EVC_ENSURE(plan_.finalize(), "condensing plan inconsistent");
 }
 
+void MpcFormulation::set_window(MpcWindowData window) {
+  EVC_EXPECT(window.dt_s == window_.dt_s &&
+                 window.soc_reference == window_.soc_reference &&
+                 window.nonlinear_battery == window_.nonlinear_battery,
+             "the next window must keep the formulation's fixed part");
+  EVC_EXPECT(window.fixed_power_kw.size() == idx_.horizon() &&
+                 window.outside_temp_c.size() == idx_.horizon(),
+             "the next window must keep the formulation's horizon");
+  window_ = std::move(window);
+}
+
 void MpcFormulation::build_cost() {
   const std::size_t n = idx_.num_vars();
   const std::size_t horizon = idx_.horizon();
@@ -220,12 +231,12 @@ num::Vector MpcFormulation::eq_constraints(const num::Vector& z) const {
   return c;
 }
 
-num::Matrix MpcFormulation::eq_jacobian(const num::Vector& z) const {
+void MpcFormulation::eq_jacobian(const num::Vector& z, num::Matrix& j) const {
   const std::size_t horizon = idx_.horizon();
   const double dt = window_.dt_s;
   const double gamma = dt / hvac_.cabin_capacitance_j_per_k;
   const double cp = hvac_.air_cp;
-  num::Matrix j(idx_.num_eq(), idx_.num_vars());
+  j.resize(idx_.num_eq(), idx_.num_vars());
 
   std::size_t row = 0;
   for (std::size_t k = 0; k < horizon; ++k) {
@@ -292,7 +303,6 @@ num::Matrix MpcFormulation::eq_jacobian(const num::Vector& z) const {
   j(row, idx_.soc(0)) = 1.0;
   ++row;
   EVC_ENSURE(row == idx_.num_eq(), "Jacobian row count mismatch");
-  return j;
 }
 
 void MpcFormulation::build_inequalities() {

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -116,9 +117,14 @@ class MpcFormulation : public opt::NlpProblem {
   num::Vector cost_gradient(const num::Vector& z) const override;
   num::Matrix cost_hessian(const num::Vector& z) const override;
   num::Vector eq_constraints(const num::Vector& z) const override;
-  num::Matrix eq_jacobian(const num::Vector& z) const override;
+  void eq_jacobian(const num::Vector& z, num::Matrix& j) const override;
   const num::Matrix& ineq_matrix() const override { return a_mat_; }
   const num::Vector& ineq_vector() const override { return b_vec_; }
+  /// One handle for the formulation's lifetime: its cost and inequalities
+  /// depend only on what set_window() keeps.
+  opt::FixedStructureHandle fixed_structure() const override {
+    return structure_;
+  }
   /// Elimination order for the condensed backend: the dynamics rows solve
   /// for the dependent trajectory (states, mixed-air temperature, powers,
   /// SoC), leaving the 5N true decisions (Ts, Tc, dr, mz, slack) free.
@@ -133,6 +139,12 @@ class MpcFormulation : public opt::NlpProblem {
 
   /// The boundary data this window was built from (warm-start alignment).
   const MpcWindowData& window() const { return window_; }
+  /// Move to the next plan's window: replaces the initial state and the
+  /// forecast and keeps everything built from the rest — the cost, the
+  /// inequalities, the condensing plan and the structure handle. `window`
+  /// must match the current window's step, SoC reference, battery model
+  /// and horizon.
+  void set_window(MpcWindowData window);
 
  private:
   void build_cost();
@@ -158,6 +170,8 @@ class MpcFormulation : public opt::NlpProblem {
   num::Matrix a_mat_;
   num::Vector b_vec_;
   opt::CondensingPlan plan_;
+  opt::FixedStructureHandle structure_ =
+      std::make_shared<const opt::FixedStructure>();
 };
 
 }  // namespace evc::core

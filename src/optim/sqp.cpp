@@ -164,15 +164,23 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
   const CondensingPlan* plan = problem.condensing_plan();
   EVC_EXPECT(plan != nullptr, "SQP problem offers no condensing plan");
 
-  // The cost Hessian and the inequality system are fixed across
-  // iterations: regularize and copy them into the reused QP subproblem, and
-  // gather their nonzeros, once per solve.
-  qp_.h = problem.cost_hessian(x0);
-  for (std::size_t i = 0; i < n; ++i)
-    qp_.h(i, i) += options_.hessian_regularization;
-  nz_.h.assign(qp_.h);
-  qp_.a_mat.copy_from(a_mat);
-  nz_.a.assign(a_mat);
+  // The cost Hessian and the inequality matrix are fixed across
+  // iterations, and across solves while the problem returns the same
+  // structure handle: regularize and copy them into the reused QP
+  // subproblem, and gather their nonzeros, only when the handle changes or
+  // there is none. The handle is dropped first, so a rebuild that throws
+  // leaves nothing to reuse.
+  const FixedStructureHandle structure = problem.fixed_structure();
+  if (structure == nullptr || structure != structure_) {
+    structure_.reset();
+    qp_.h = problem.cost_hessian(x0);
+    for (std::size_t i = 0; i < n; ++i)
+      qp_.h(i, i) += options_.hessian_regularization;
+    nz_.h.assign(qp_.h);
+    qp_.a_mat.copy_from(a_mat);
+    nz_.a.assign(a_mat);
+    structure_ = structure;
+  }
 
   // Working-set seed for the first QP subproblem (receding-horizon warm
   // start); each later subproblem is seeded with its predecessor's final
@@ -200,7 +208,7 @@ SqpResult SqpSolver::solve(const NlpProblem& problem, const num::Vector& x0,
     // J is the only matrix that changes: gather its nonzeros once, for the
     // condensing and the second-order correction alike.
     qp_.g = grad;
-    qp_.e_mat = problem.eq_jacobian(result.x);
+    problem.eq_jacobian(result.x, qp_.e_mat);
     nz_.e.assign(qp_.e_mat);
     qp_.e_vec.resize(cur.c.size());
     for (std::size_t i = 0; i < cur.c.size(); ++i) qp_.e_vec[i] = -cur.c[i];

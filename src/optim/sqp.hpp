@@ -16,11 +16,13 @@
 // Hot-path behaviour: the solver owns a persistent condensed solver and a
 // reused QP subproblem, so consecutive iterations (and consecutive solves
 // on a receding horizon) share storage, and each iteration pays only for
-// what changed. The cost Hessian is read and regularized once per solve,
-// and the nonzeros of H and A are gathered once per solve and those of J
-// once per iteration (QpNonzeros): the condensing, b − A·x, the merit's A·x
-// and the second-order correction's J·Jᵀ all walk them, with the dense
-// kernels' bits. Each subproblem's final working set seeds the next one,
+// what changed. The cost Hessian is read and regularized, and the
+// nonzeros of H and A gathered, once per solve — or once for as long as
+// the problem returns the same fixed-structure handle
+// (NlpProblem::fixed_structure) — and those of J once per iteration
+// (QpNonzeros), into a Jacobian the solver owns: the condensing, b − A·x,
+// the merit's A·x and the second-order correction's J·Jᵀ all walk them,
+// with the dense kernels' bits. Each subproblem's final working set seeds the next one,
 // and the solve returns the last one, so the caller can carry it into the
 // next receding-horizon solve. The merit value of an
 // accepted line-search candidate is cached so the next iteration does not
@@ -135,8 +137,12 @@ class SqpSolver {
   mutable CondensedQpSolver condensed_;
   mutable QpProblem qp_;
   mutable num::Vector candidate_;
-  /// Nonzeros of H and A (once per solve) and J (once per iteration).
+  /// Nonzeros of H and A (when the structure handle changes) and J (once
+  /// per iteration).
   mutable QpNonzeros nz_;
+  /// The structure qp_.h, qp_.a_mat, nz_.h and nz_.a were built from;
+  /// null when they must be rebuilt.
+  mutable FixedStructureHandle structure_;
   mutable num::Vector ax_;
   mutable SocWorkspace soc_;
   mutable num::Vector soc_candidate_;

@@ -62,7 +62,7 @@ opt::QpProblem subproblem_at(const core::MpcFormulation& f,
   qp.h = f.cost_hessian(z);
   for (std::size_t i = 0; i < n; ++i) qp.h(i, i) += 1e-6;
   qp.g = f.cost_gradient(z);
-  qp.e_mat = f.eq_jacobian(z);
+  f.eq_jacobian(z, qp.e_mat);
   const num::Vector c = f.eq_constraints(z);
   qp.e_vec.resize(c.size());
   for (std::size_t i = 0; i < c.size(); ++i) qp.e_vec[i] = -c[i];
@@ -429,8 +429,8 @@ class MismatchedPlanProblem : public opt::NlpProblem {
   num::Vector eq_constraints(const num::Vector& x) const override {
     return f_.eq_constraints(x);
   }
-  num::Matrix eq_jacobian(const num::Vector& x) const override {
-    return f_.eq_jacobian(x);
+  void eq_jacobian(const num::Vector& x, num::Matrix& j) const override {
+    f_.eq_jacobian(x, j);
   }
   const num::Matrix& ineq_matrix() const override { return f_.ineq_matrix(); }
   const num::Vector& ineq_vector() const override { return f_.ineq_vector(); }

@@ -376,7 +376,8 @@ num::Matrix mpc_jjt(std::uint64_t seed) {
   num::Vector z = f.cold_start();
   for (std::size_t i = 0; i < z.size(); ++i)
     z[i] += 0.01 * rng.uniform(-1.0, 1.0);
-  const num::Matrix j = f.eq_jacobian(z);
+  num::Matrix j;
+  f.eq_jacobian(z, j);
   num::Matrix jjt(j.rows(), j.rows());
   for (std::size_t r = 0; r < j.rows(); ++r)
     for (std::size_t c = 0; c < j.rows(); ++c) {

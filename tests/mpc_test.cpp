@@ -93,7 +93,8 @@ TEST(MpcFormulation, JacobianMatchesFiniteDifferences) {
   // Perturb to a generic (infeasible) point so all bilinear terms are live.
   for (std::size_t i = 0; i < z.size(); ++i) z[i] += rng.uniform(-0.3, 0.3);
 
-  const num::Matrix jac = f.eq_jacobian(z);
+  num::Matrix jac;
+  f.eq_jacobian(z, jac);
   const num::Vector c0 = f.eq_constraints(z);
   const double h = 1e-6;
   for (std::size_t j = 0; j < z.size(); ++j) {
@@ -376,7 +377,8 @@ TEST(MpcFormulationNonlinearBattery, JacobianMatchesFiniteDifferences) {
   num::Vector z = f.cold_start();
   for (std::size_t i = 0; i < z.size(); ++i) z[i] += rng.uniform(-0.3, 0.3);
 
-  const num::Matrix jac = f.eq_jacobian(z);
+  num::Matrix jac;
+  f.eq_jacobian(z, jac);
   const num::Vector c0 = f.eq_constraints(z);
   const double h = 1e-6;
   for (std::size_t j = 0; j < z.size(); ++j) {

@@ -152,11 +152,10 @@ class CircleProblem : public NlpProblem {
   Vector eq_constraints(const Vector& x) const override {
     return Vector{x[0] * x[0] + x[1] * x[1] - 1.0};
   }
-  Matrix eq_jacobian(const Vector& x) const override {
-    Matrix j(1, 2);
+  void eq_jacobian(const Vector& x, Matrix& j) const override {
+    j.resize(1, 2);
     j(0, 0) = 2.0 * x[0];
     j(0, 1) = 2.0 * x[1];
-    return j;
   }
   const Matrix& ineq_matrix() const override { return a_; }
   const Vector& ineq_vector() const override { return b_; }

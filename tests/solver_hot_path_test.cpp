@@ -1,9 +1,14 @@
 // Solver hot-path properties: a steady state that does not grow the SQP
-// solver's QP workspace, and warm-started solves agreeing with
+// solver's QP workspace, a solver that keeps a problem's fixed structure
+// returning a fresh solver's bits, and warm-started solves agreeing with
 // cold-started ones.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "battery/battery_params.hpp"
 #include "core/mpc_controller.hpp"
@@ -15,7 +20,8 @@ namespace {
 
 using namespace evc;
 
-core::MpcFormulation make_window_formulation(std::size_t horizon) {
+core::MpcFormulation make_window_formulation(
+    std::size_t horizon, core::MpcWeights weights = {}) {
   core::MpcWindowData w;
   w.dt_s = 5.0;
   w.initial_cabin_temp_c = 25.5;
@@ -23,9 +29,10 @@ core::MpcFormulation make_window_formulation(std::size_t horizon) {
   w.fixed_power_kw.assign(horizon, 9.0);
   w.outside_temp_c.assign(horizon, 35.0);
   return core::MpcFormulation(hvac::default_hvac_params(),
-                              bat::leaf_24kwh_params(), core::MpcWeights{},
-                              w);
+                              bat::leaf_24kwh_params(), weights, w);
 }
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // Steady-state solving through a persistent solver must not grow its QP
 // workspace: the same window solved again holds the first solve's bytes.
@@ -58,6 +65,59 @@ TEST(SqpWorkspace, SmallerProblemReusesStorage) {
   const auto larger = make_window_formulation(16);
   ASSERT_TRUE(solver.solve(larger, larger.cold_start()).usable());
   EXPECT_GT(solver.workspace_bytes(), bytes);
+}
+
+// One solver keeps its regularized H, its copy of A and their nonzero
+// views while the problem returns the same structure handle. Alternating
+// between windows whose fixed matrices differ (other weights, another
+// horizon), a separately built formulation with the same parameters, and a
+// window moved by set_window(), every solve must return what a fresh
+// solver returns, bit for bit.
+TEST(SqpStructureCache, AlternatingWindowsMatchFreshSolver) {
+  const opt::SqpOptions options = core::MpcOptions{}.sqp;
+  core::MpcWeights comfort_heavy;
+  comfort_heavy.comfort = 0.9;
+  comfort_heavy.soc_deviation = 0.5;
+  auto base = make_window_formulation(6);
+  const auto reweighted = make_window_formulation(6, comfort_heavy);
+  const auto longer = make_window_formulation(9);
+  const auto rebuilt = make_window_formulation(6);
+  ASSERT_NE(base.fixed_structure(), nullptr);
+  ASSERT_NE(base.fixed_structure(), rebuilt.fixed_structure());
+
+  core::MpcWindowData moved = base.window();
+  moved.initial_cabin_temp_c = 29.0;
+  moved.initial_soc_percent = 71.5;
+  moved.fixed_power_kw[2] = 14.0;
+  moved.outside_temp_c[4] = 38.0;
+
+  const opt::SqpSolver solver(options);
+  const core::MpcFormulation* sequence[] = {&base,   &reweighted, &base,
+                                            &longer, &base,       &rebuilt,
+                                            &base,   &reweighted, &longer};
+  std::vector<std::size_t> seed;
+  for (std::size_t step = 0; step <= std::size(sequence); ++step) {
+    if (step == std::size(sequence)) base.set_window(moved);
+    const core::MpcFormulation& f =
+        step < std::size(sequence) ? *sequence[step] : base;
+    const num::Vector z0 = f.cold_start();
+    const std::vector<std::size_t>* warm = step % 2 == 1 ? &seed : nullptr;
+    const opt::SqpResult kept = solver.solve(f, z0, warm);
+    const opt::SqpResult fresh = opt::SqpSolver(options).solve(f, z0, warm);
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_TRUE(fresh.usable());
+    EXPECT_EQ(kept.status, fresh.status);
+    EXPECT_EQ(kept.iterations, fresh.iterations);
+    EXPECT_EQ(kept.qp_iterations_total, fresh.qp_iterations_total);
+    EXPECT_EQ(kept.active_ineq, fresh.active_ineq);
+    EXPECT_EQ(bits(kept.cost), bits(fresh.cost));
+    EXPECT_EQ(bits(kept.constraint_violation),
+              bits(fresh.constraint_violation));
+    ASSERT_EQ(kept.x.size(), fresh.x.size());
+    for (std::size_t i = 0; i < fresh.x.size(); ++i)
+      EXPECT_EQ(bits(kept.x[i]), bits(fresh.x[i])) << "x[" << i << "]";
+    seed = fresh.active_ineq;
+  }
 }
 
 TEST(SqpWarmStart, MatchesColdSolutionOnMpcWindow) {

@@ -73,11 +73,10 @@ class BilinearProblem : public NlpProblem {
   Vector eq_constraints(const Vector& x) const override {
     return Vector{x[0] * x[1] - product_};
   }
-  Matrix eq_jacobian(const Vector& x) const override {
-    Matrix j(1, x.size());
+  void eq_jacobian(const Vector& x, Matrix& j) const override {
+    j.resize(1, x.size());
     j(0, 0) = x[1];
     j(0, 1) = x[0];
-    return j;
   }
   const Matrix& ineq_matrix() const override { return a_; }
   const Vector& ineq_vector() const override { return b_; }
@@ -147,11 +146,10 @@ class LinearEqualityProblem : public NlpProblem {
   Vector eq_constraints(const Vector& x) const override {
     return Vector{x[0] + x[1] - 2.0};
   }
-  Matrix eq_jacobian(const Vector&) const override {
-    Matrix j(1, 2);
+  void eq_jacobian(const Vector&, Matrix& j) const override {
+    j.resize(1, 2);
     j(0, 0) = 1;
     j(0, 1) = 1;
-    return j;
   }
   const Matrix& ineq_matrix() const override { return a_; }
   const Vector& ineq_vector() const override { return b_; }
