@@ -14,12 +14,12 @@ namespace {
 double clothing_surface_temp(double m_w, double icl, double fcl, double ta,
                              double tr, double var) {
   double tcl = ta + 0.5 * (35.7 - 0.028 * m_w - ta);  // warm start
+  const double hc_forced = 12.1 * std::sqrt(var);
+  const double tr4 = std::pow(tr + 273.0, 4);
   for (int iter = 0; iter < 150; ++iter) {
     const double hc_nat = 2.38 * std::pow(std::abs(tcl - ta), 0.25);
-    const double hc_forced = 12.1 * std::sqrt(var);
     const double hc = std::max(hc_nat, hc_forced);
-    const double radiant = 3.96e-8 * fcl *
-                           (std::pow(tcl + 273.0, 4) - std::pow(tr + 273.0, 4));
+    const double radiant = 3.96e-8 * fcl * (std::pow(tcl + 273.0, 4) - tr4);
     const double next =
         35.7 - 0.028 * m_w - icl * (radiant + fcl * hc * (tcl - ta));
     const double damped = 0.5 * (tcl + next);
