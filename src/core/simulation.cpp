@@ -71,8 +71,11 @@ void SimulationSession::advance() {
   obs::Tracer::global().set_sim_time(static_cast<double>(t) * dt_);
   EVC_TRACE_SPAN("sim.step");
 
-  // Algorithm 1 lines 14–15: receding-horizon forecast.
-  ctl::ControlContext context;
+  // Algorithm 1 lines 14–15: receding-horizon forecast. The session's one
+  // context is rewritten field by field, so no edit the fault injector made
+  // last step (a dropout clears the forecast) carries over, and its
+  // forecast vectors keep their storage.
+  ctl::ControlContext& context = context_;
   context.time_s = static_cast<double>(t) * dt_;
   context.dt_s = dt_;
   context.cabin_temp_c = ev_.cabin_temp_c();

@@ -158,6 +158,8 @@ class SimulationSession {
   std::size_t forecast_samples_ = 1;
   double dt_ = 1.0;
   std::size_t n_ = 0;
+  /// What advance() hands the controller, rewritten every step.
+  ctl::ControlContext context_;
 
   std::size_t step_ = 0;
   double motor_acc_ = 0.0;
