@@ -32,7 +32,7 @@ MpcWindowData window_template(const MpcOptions& options) {
 MpcClimateController::MpcClimateController(hvac::HvacParams hvac_params,
                                            bat::BatteryParams battery_params,
                                            MpcOptions options)
-    : hvac_(hvac_params), battery_(battery_params), options_(options),
+    : hvac_(hvac_params), options_(options),
       solver_(options.sqp),
       formulation_(hvac_params, battery_params, options.weights,
                    window_template(options)) {

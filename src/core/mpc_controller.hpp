@@ -144,7 +144,6 @@ class MpcClimateController : public ctl::ClimateController {
   hvac::HvacInputs fallback_inputs(const ctl::ControlContext& context) const;
 
   hvac::HvacParams hvac_;
-  bat::BatteryParams battery_;
   MpcOptions options_;
   opt::SqpSolver solver_;
   /// The control window, built once: each plan replaces only its initial
